@@ -179,6 +179,11 @@ def run_workload(workload, seed, seconds, trace):
         correct = False
     layer = dict(traced["per_layer"])
     layer["tracing.overhead"] = traced["run_wall_s"] / plain["run_wall_s"] - 1
+    # Wall time per record comes from the untraced run: in the traced one
+    # every thread bumps the allocation probe's shared counter.
+    layer["path.wall_ns_per_record"] = plain["per_layer"]["path.wall_ns_per_record"]
+    layer["path.unattributed_ns_per_record"] = (
+        layer["path.wall_ns_per_record"] - layer["path.attributed_ns_per_record"])
     # Replay attribution may never claim more than the measured wall time.
     if layer["path.unattributed_ns_per_record"] < 0:
         log("perfbench: replayed self time exceeds measured wall time")
@@ -230,7 +235,7 @@ def main():
     parser.add_argument("--workload", choices=WORKLOADS + ["all"],
                         help="one workload, or all of them in turn")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()

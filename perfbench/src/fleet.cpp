@@ -7,13 +7,16 @@
 //   roam_soak        metro_fleet(8, 400) with heavy churn, an AP outage
 //                    and a backhaul partition, over several block intervals
 //
-// Each run builds the testbed eleven times (setup_s is the median), then
-// starts it and advances simulated time in 1 s slices.  The amount of
-// simulated time is fixed by --seconds through the workload's calibration
-// (simulated seconds per host second on the reference host), so a run does
-// a fixed, seed-determined amount of work and every count it reports is
-// exact.  Between slices of the run's second half the benchmark reads the
-// aggregators' stores with the dashboard query mix; after the run it checks
+// Set-up builds the testbed repeatedly; setup_s is the median over eleven
+// samples, each timing enough consecutive builds to last at least 50 ms.
+// The run starts the testbed, advances it untimed through the registration
+// warm-up, then through the measured phase in equal slices of simulated
+// time; records_per_s is the median over those slices of records accepted
+// per host second.  The measured phase's length is fixed by --seconds
+// through the workload's calibration (simulated seconds per host second on
+// the reference host), so a run does a fixed, seed-determined amount of
+// work and every count it reports is exact.  After the run the benchmark
+// reads the aggregators' stores with the dashboard query mix, then checks
 // the run's outputs.
 
 #include <algorithm>
@@ -78,16 +81,24 @@ struct FleetWorkload {
   const char* name;
   core::ScenarioSpec (*spec)(std::uint64_t);
   std::size_t shards;
-  /// Simulated seconds per --seconds (reference-host calibration).
+  /// Untimed simulated seconds before the measured phase.
+  double warmup_sim_s;
+  /// Measured simulated seconds per --seconds (reference-host calibration).
   double sim_per_second;
   /// Floor so the correctness checks stay meaningful on short runs.
   double min_sim_s;
+  /// Simulated seconds per measured slice.
+  double slice_sim_s;
 };
 
+// metro: registration and the flush of the devices' offline buffers end
+// by ~12 sim-s; from then on every device sends one record per report.
+// roam_soak: its 400 devices have registered by 10 sim-s; the churn, the
+// outage and the partition all fall in the measured phase.
 constexpr FleetWorkload kWorkloads[] = {
-    {"metro_10k", metro_spec, 1, 1.4, 14.0},
-    {"metro_10k_4shard", metro_spec, 4, 1.4, 14.0},
-    {"roam_soak", roam_soak_spec, 1, 15.0, 150.0},
+    {"metro_10k", metro_spec, 1, 12.0, 0.4, 2.0, 0.25},
+    {"metro_10k_4shard", metro_spec, 4, 12.0, 0.4, 2.0, 0.25},
+    {"roam_soak", roam_soak_spec, 1, 10.0, 14.0, 140.0, 1.0},
 };
 
 const FleetWorkload* find_workload(const std::string& name) {
@@ -97,6 +108,12 @@ const FleetWorkload* find_workload(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+std::unique_ptr<core::Testbed> build(const FleetWorkload& w,
+                                     std::uint64_t seed) {
+  return std::make_unique<core::Testbed>(w.spec(seed),
+                                         core::TestbedOptions{w.shards});
 }
 
 struct Totals {
@@ -114,6 +131,22 @@ struct Totals {
   std::uint64_t mqtt_routed = 0;
   std::uint64_t late_drops = 0;
 };
+
+/// Cumulative counters behind the path's call weights.
+struct PathSnapshot {
+  Totals t;
+  std::uint64_t events = 0;
+  std::uint64_t trace_points = 0;
+  std::uint64_t chain_records = 0;
+};
+
+std::uint64_t records_accepted(core::Testbed& bed) {
+  std::uint64_t n = 0;
+  for (std::size_t a = 0; a < bed.network_count(); ++a) {
+    n += bed.aggregator(a).stats().records_accepted;
+  }
+  return n;
+}
 
 Totals totals(core::Testbed& bed) {
   Totals t;
@@ -143,6 +176,12 @@ Totals totals(core::Testbed& bed) {
     }
   }
   return t;
+}
+
+PathSnapshot path_snapshot(core::Testbed& bed) {
+  return PathSnapshot{totals(bed), bed.executed_events(),
+                      bed.trace().total_points(),
+                      bed.chain().ledger().record_count()};
 }
 
 /// Sim-time staleness of every record when it lands in an aggregator's
@@ -191,39 +230,70 @@ std::uint64_t lag_histogram_count(core::Testbed& bed) {
   return n;
 }
 
-/// Dashboard reads in bursts between the slices of the run's second half,
-/// against the live stores (the kernel is parked at a slice boundary),
-/// rotating over the aggregators: kQueries timed queries (1500 refreshes,
-/// so the refresh p99 has 15 samples beyond it) in about kBursts bursts, so
-/// host noise averages over the run while each burst is long enough to run
-/// with warm caches.
-constexpr std::size_t kQueries = 4500;
-constexpr int kBursts = 8;
+/// Dashboard reads of the first network's home devices in its aggregator's
+/// store after the run (the kernel is parked): one untimed warm-up
+/// refresh, then kRefreshes timed ones, so the refresh p99 has 15 samples
+/// beyond it.  Always the same devices, so every sample times the same
+/// reads: rotating over networks whose populations differ (roam_soak's
+/// churn) made the percentiles jump between the networks' modes.
+constexpr std::size_t kRefreshes = 1500;
 
 struct DashboardReads {
   QueryTally tally;
   double wall_s = 0.0;
-  std::size_t next_aggregator = 0;
-
-  /// Runs this burst's share of the remaining queries; `bursts_left`
-  /// counts this one.
-  void burst(core::Testbed& bed, int bursts_left) {
-    const std::size_t issued = tally.queries() + tally.failed;
-    const std::size_t share =
-        (kQueries - std::min(kQueries, issued) + bursts_left - 1) /
-        bursts_left;
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < (share + 2) / 3; ++i) {
-      const auto& engine =
-          bed.aggregator(next_aggregator++ % bed.network_count())
-              .query_engine();
-      if (const auto wm = engine.tsdb().observed_max_ts()) {
-        dashboard_round(engine, *wm, tally);
-      }
-    }
-    wall_s += seconds_since(t0);
-  }
 };
+
+DashboardReads read_dashboards(core::Testbed& bed) {
+  DashboardReads reads;
+  const auto& engine = bed.aggregator(0).query_engine();
+  std::vector<core::DeviceId> home;
+  for (std::size_t i = 0; i < bed.device_count(); ++i) {
+    if (bed.home_of(i) == 0) {
+      home.push_back(bed.device(i).id());
+    }
+  }
+  std::sort(home.begin(), home.end());
+  const auto round = [&engine, &home](QueryTally& tally) {
+    if (const auto wm = engine.tsdb().observed_max_ts()) {
+      dashboard_round(engine, *wm, tally, &home);
+    }
+  };
+  QueryTally warmup;
+  round(warmup);
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < kRefreshes; ++i) {
+    round(reads.tally);
+  }
+  reads.wall_s = seconds_since(t0);
+  reads.tally.failed += warmup.failed;
+  return reads;
+}
+
+/// Median host seconds per build over `samples` samples, each timing
+/// enough consecutive builds (teardown excluded) to last at least 50 ms,
+/// so every sample sits well above timer and page-fault noise.  Leaves the
+/// last build in `bed`.
+double time_setup(const FleetWorkload& w, std::uint64_t seed,
+                  std::unique_ptr<core::Testbed>& bed, int samples) {
+  const auto timed_build = [&] {
+    bed.reset();
+    const auto t0 = Clock::now();
+    bed = build(w, seed);
+    return seconds_since(t0);
+  };
+  const double first = timed_build();  // warm-up, sizes the groups
+  const int group =
+      std::max(1, static_cast<int>(std::ceil(0.05 / std::max(first, 1e-6))));
+  std::vector<double> per_build;
+  for (int i = 0; i < samples; ++i) {
+    double total = 0.0;
+    for (int b = 0; b < group; ++b) {
+      total += timed_build();
+    }
+    per_build.push_back(total / group);
+  }
+  return median(per_build);
+}
 
 /// The store-backed invoice of every device at its home aggregator must
 /// equal an audit replay of the chain.  Devices are unplugged first and the
@@ -288,13 +358,9 @@ StateSample sample_state(core::Testbed& bed, double sim_s) {
 }
 
 /// The run's record stream, read back out of the aggregators' stores and
-/// cut into reports of the run's mean batch size, round-robin by device.
-LedgerStream stream_from_stores(core::Testbed& bed, const Totals& t,
+/// cut into reports of `batch` records, round-robin by device.
+LedgerStream stream_from_stores(core::Testbed& bed, std::size_t batch,
                                 std::uint64_t seed) {
-  const std::size_t batch = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(
-             double(t.records_accepted) /
-             double(std::max<std::uint64_t>(1, t.reports_accepted)))));
   std::vector<std::vector<core::Report>> per_series;
   for (std::size_t a = 0; a < bed.network_count(); ++a) {
     const auto& db = bed.aggregator(a).tsdb();
@@ -333,12 +399,6 @@ LedgerStream stream_from_stores(core::Testbed& bed, const Totals& t,
   return stream;
 }
 
-std::unique_ptr<core::Testbed> build(const FleetWorkload& w,
-                                     std::uint64_t seed) {
-  return std::make_unique<core::Testbed>(w.spec(seed),
-                                         core::TestbedOptions{w.shards});
-}
-
 }  // namespace
 
 std::vector<std::string> fleet_workload_names() {
@@ -351,73 +411,64 @@ std::vector<std::string> fleet_workload_names() {
 
 RunResult run_fleet(const Options& opt) {
   const FleetWorkload& w = *find_workload(opt.workload);
-  const int slices = static_cast<int>(
-      std::ceil(std::max(w.min_sim_s, w.sim_per_second * opt.seconds)));
+  const std::int64_t slice_ms = std::llround(w.slice_sim_s * 1000.0);
+  const int warmup_slices =
+      static_cast<int>(std::llround(w.warmup_sim_s / w.slice_sim_s));
+  const int measured_slices = static_cast<int>(std::ceil(
+      std::max(w.min_sim_s, w.sim_per_second * opt.seconds) / w.slice_sim_s));
+  const int slices = warmup_slices + measured_slices;
+  const double sim_s = double(slices * slice_ms) / 1000.0;
   RunResult r;
 
-  // -- Set-up: build the testbed eleven times, keep the last -----------------
-  std::vector<double> setups;
+  // -- Set-up -----------------------------------------------------------------
   std::unique_ptr<core::Testbed> bed;
-  for (int i = 0; i < 11; ++i) {
-    bed.reset();
-    const auto t0 = Clock::now();
-    bed = build(w, opt.seed);
-    setups.push_back(seconds_since(t0));
-  }
-  r.end_to_end["setup_s"] = median(setups);
+  r.end_to_end["setup_s"] = time_setup(w, opt.seed, bed, 11);
 
   // -- Run ------------------------------------------------------------------
-  // The traced run counts allocations over the second half (the steady
-  // phase) and samples long-lived state once per simulated minute; the
-  // sampling time is excluded from the steady-phase wall time.
-  const int steady_from = slices / 2;
-  std::uint64_t steady_records0 = 0;
-  Clock::time_point steady_t0{};
-  double sampling_s = 0.0;
-  std::vector<StateSample> samples;
-  const auto run_t0 = Clock::now();
-  bed->start();
+  // Only the measured slices are timed (and, in the traced run, counted by
+  // the allocation probe); the checks between slices and the traced run's
+  // once-per-sim-minute state samples fall outside them.
+  std::vector<double> slice_rates;
+  std::uint64_t measured_records = 0;
+  std::uint64_t measured_allocs = 0;
   std::size_t peak_reporting = 0;
-  DashboardReads reads;
-  const int burst_stride =
-      std::max(1, (slices - steady_from + kBursts - 1) / kBursts);
-  std::uint64_t steady_allocs = 0;
-  for (int s = 1; s <= slices; ++s) {
-    bed->run_for(sim::seconds(1));
-    if (s % 10 == 0 || s == slices) {
-      peak_reporting = std::max(peak_reporting, devices_reporting(*bed));
+  std::vector<StateSample> samples;
+  PathSnapshot at_measure;
+  bed->start();
+  for (int i = 1; i <= slices; ++i) {
+    const bool measured = i > warmup_slices;
+    if (i == warmup_slices + 1) {
+      at_measure = path_snapshot(*bed);
     }
-    if (opt.traced && (s % 60 == 0 || s == slices)) {
-      const auto t0 = Clock::now();
-      samples.push_back(sample_state(*bed, s));
-      sampling_s += seconds_since(t0);
-    }
-    if (s > steady_from && (slices - s) % burst_stride == 0) {
-      // Query allocations are not the record path's.
-      steady_allocs += opt.traced ? AllocProbe::disarm() : 0;
-      reads.burst(*bed, (slices - s) / burst_stride + 1);
-      if (opt.traced) {
-        AllocProbe::arm();
-      }
-    }
-    if (opt.traced && s == steady_from) {
-      steady_records0 = totals(*bed).records_accepted;
-      sampling_s = 0.0;
-      steady_t0 = Clock::now();
+    const std::uint64_t before = measured ? records_accepted(*bed) : 0;
+    if (measured && opt.traced) {
       AllocProbe::arm();
     }
+    const auto t0 = Clock::now();
+    bed->run_for(sim::milliseconds(slice_ms));
+    const double wall_s = seconds_since(t0);
+    if (measured) {
+      measured_allocs += opt.traced ? AllocProbe::disarm() : 0;
+      const std::uint64_t n = records_accepted(*bed) - before;
+      r.run_wall_s += wall_s;
+      measured_records += n;
+      slice_rates.push_back(double(n) / wall_s);
+    }
+    const std::int64_t now_ms = i * slice_ms;
+    if (now_ms % 10'000 == 0 || i == slices) {
+      peak_reporting = std::max(peak_reporting, devices_reporting(*bed));
+    }
+    if (opt.traced && (now_ms % 60'000 == 0 || i == slices)) {
+      samples.push_back(sample_state(*bed, double(now_ms) / 1000.0));
+    }
   }
-  // Run and steady-phase walls exclude the interleaved queries.
-  r.run_wall_s = seconds_since(run_t0) - reads.wall_s;
-  steady_allocs += opt.traced ? AllocProbe::disarm() : 0;
-  const double steady_wall_s =
-      opt.traced ? seconds_since(steady_t0) - sampling_s - reads.wall_s : 0.0;
   r.end_to_end["peak_rss_mb"] = peak_rss_mb();
+  const double records_per_s = median(slice_rates);
+  r.end_to_end["records_per_s"] = records_per_s;
 
   const Totals t = totals(*bed);
   const double accepted = static_cast<double>(std::max<std::uint64_t>(
       1, t.records_accepted));
-  r.end_to_end["records_per_s"] = double(t.records_accepted) / r.run_wall_s;
 
   std::vector<double> lags = ingest_lags_ms(*bed);
   const std::size_t lag_count = lags.size();
@@ -425,6 +476,7 @@ RunResult run_fleet(const Options& opt) {
   r.end_to_end["ingest_lag_p99_ms"] = quantile(lags, 0.99);
   lags = {};
 
+  DashboardReads reads = read_dashboards(*bed);
   QueryTally& q = reads.tally;
   const std::size_t n_queries = q.queries();
   r.end_to_end["query_p50_us"] = quantile(q.refresh_us, 0.50);
@@ -455,9 +507,9 @@ RunResult run_fleet(const Options& opt) {
   r.counts["trace_digest"] = std::to_string(digest);
   r.counts["ingest_lag_samples"] = std::to_string(lag_count);
   r.counts["devices_reporting"] = std::to_string(reporting);
-  r.counts["sim_seconds"] = std::to_string(slices);
+  r.counts["sim_seconds"] = std::to_string(sim_s);
   std::cerr << opt.workload << ": " << bed->device_count() << " devices, "
-            << slices << " sim-s, " << bed->shard_count() << " shard(s); "
+            << sim_s << " sim-s, " << bed->shard_count() << " shard(s); "
             << sampled << " records sampled, " << t.records_accepted
             << " accepted, " << t.nacks << " nacks; " << reporting
             << " devices reporting; " << events << " kernel events; digest "
@@ -501,7 +553,7 @@ RunResult run_fleet(const Options& opt) {
   m["sim.kernel.events_per_record"] = double(events) / accepted;
   m["sim.kernel.callbacks_stored_per_record"] = double(callbacks) / accepted;
   m["sim.shard.sync_rounds_per_sim_s"] =
-      double(bed->engine().sync_rounds()) / slices;
+      double(bed->engine().sync_rounds()) / sim_s;
   m["sim.shard.cross_posts_per_record"] =
       double(bed->engine().cross_posts()) / accepted;
   m["sim.shard.event_imbalance"] =
@@ -534,6 +586,7 @@ RunResult run_fleet(const Options& opt) {
   m["serve.producer_blocked_s"] = 0.0;
   m["serve.queue_depth_p99"] = 0.0;
   m["serve.pump_ns"] = 0.0;
+  m["path.wall_ns_per_record"] = 1e9 / records_per_s;
 
   if (opt.traced) {
     for (const auto& s : samples) {
@@ -548,23 +601,35 @@ RunResult run_fleet(const Options& opt) {
     m["state.ledger_replica_records"] = double(last.replica_records);
     m["state.seen_sequences"] = double(last.seen_sequences);
 
-    const double steady_records =
-        double(std::max<std::uint64_t>(1, t.records_accepted - steady_records0));
-    const LedgerStream stream = stream_from_stores(*bed, t, opt.seed);
+    // Calls per record over the measured phase, the phase the path wall
+    // time comes from; the replayed reports have that phase's mean size.
+    const PathSnapshot end = path_snapshot(*bed);
+    const double n = double(std::max<std::uint64_t>(1, measured_records));
+    const auto per_record = [n](std::uint64_t a, std::uint64_t b) {
+      return double(b - a) / n;
+    };
+    const double reports =
+        per_record(at_measure.t.reports_accepted, end.t.reports_accepted);
+    const std::size_t batch = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::llround(1.0 / std::max(reports, 1e-9))));
+    const LedgerStream stream = stream_from_stores(*bed, batch, opt.seed);
     const LedgerCosts costs = replay_ledger(stream);
     PathCalls calls;
-    calls.kernel_events = double(events) / accepted;
+    calls.kernel_events = per_record(at_measure.events, end.events);
     calls.seals = 1.0;
     calls.decodes = 1.0;
     // Per report: the uplink PUBLISH, its PUBACK and the Ack ctrl message.
-    calls.channel_frames = 3.0 * double(t.reports_accepted) / accepted;
-    calls.mqtt_msgs = double(t.mqtt_routed) / accepted;
-    calls.membership_finds = double(t.reports_accepted + t.nacks) / accepted;
-    calls.tsdb_ingests = double(t.tsdb_records) / accepted;
-    calls.trace_appends = trace_points / accepted;
-    calls.chain_records = double(ledger.record_count()) / accepted;
-    add_ledger_metrics(m, costs, calls, steady_wall_s * 1e9 / steady_records,
-                       double(steady_allocs) / steady_records);
+    calls.channel_frames =
+        3.0 * per_record(at_measure.t.reports_accepted, end.t.reports_accepted);
+    calls.mqtt_msgs = per_record(at_measure.t.mqtt_routed, end.t.mqtt_routed);
+    calls.membership_finds =
+        per_record(at_measure.t.reports_accepted + at_measure.t.nacks,
+                   end.t.reports_accepted + end.t.nacks);
+    calls.tsdb_ingests =
+        per_record(at_measure.t.tsdb_records, end.t.tsdb_records);
+    calls.trace_appends = per_record(at_measure.trace_points, end.trace_points);
+    calls.chain_records = per_record(at_measure.chain_records, end.chain_records);
+    add_ledger_metrics(m, costs, calls, double(measured_allocs) / n);
   } else {
     m["state.tsdb_records"] = double(t.tsdb_records);
     m["state.trace_points"] = trace_points;
@@ -579,8 +644,8 @@ RunResult run_fleet(const Options& opt) {
     bed.reset();
     core::Testbed ref{w.spec(opt.seed), core::TestbedOptions{1}};
     ref.start();
-    for (int s = 1; s <= slices; ++s) {
-      ref.run_for(sim::seconds(1));
+    for (int i = 1; i <= slices; ++i) {
+      ref.run_for(sim::milliseconds(slice_ms));
     }
     r.check("digest_equals_1shard", ref.trace().digest() == digest);
   }

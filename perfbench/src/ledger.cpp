@@ -289,8 +289,7 @@ LedgerCosts replay_ledger(const LedgerStream& stream) {
 }
 
 void add_ledger_metrics(std::map<std::string, double>& m, const LedgerCosts& c,
-                        const PathCalls& k, double wall_ns_per_record,
-                        double allocs_per_record) {
+                        const PathCalls& k, double allocs_per_record) {
   m["sim.kernel.self_ns_per_event"] = c.kernel_ns_per_event;
   m["sim.trace.self_ns_per_append"] = c.trace_ns_per_append;
   m["protocol.seal_ns_per_record"] = c.seal_ns_per_record;
@@ -319,9 +318,8 @@ void add_ledger_metrics(std::map<std::string, double>& m, const LedgerCosts& c,
       k.tsdb_ingests * (c.tsdb_ns_per_record + c.rollup_hook_ns_per_record) +
       k.trace_appends * c.trace_ns_per_append +
       k.chain_records * c.chain_append_ns_per_record;
-  m["path.wall_ns_per_record"] = wall_ns_per_record;
   m["path.allocs_per_record"] = allocs_per_record;
-  m["path.unattributed_ns_per_record"] = wall_ns_per_record - attributed;
+  m["path.attributed_ns_per_record"] = attributed;
 }
 
 }  // namespace perfbench

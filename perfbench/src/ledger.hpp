@@ -79,11 +79,12 @@ struct PathCalls {
   double chain_records = 0.0;
 };
 
-/// Adds every replay metric plus path.wall_ns_per_record,
-/// path.allocs_per_record and path.unattributed_ns_per_record (wall time
-/// minus the sum of replayed self time x calls) to `per_layer`.
+/// Adds every replay metric plus path.allocs_per_record and
+/// path.attributed_ns_per_record (the sum of replayed self time x calls) to
+/// `per_layer`.  perfbench/run.py subtracts the latter from the untraced
+/// run's path.wall_ns_per_record to get path.unattributed_ns_per_record.
 void add_ledger_metrics(std::map<std::string, double>& per_layer,
                         const LedgerCosts& c, const PathCalls& calls,
-                        double wall_ns_per_record, double allocs_per_record);
+                        double allocs_per_record);
 
 }  // namespace perfbench
