@@ -1,11 +1,14 @@
 // Fleet workloads: a whole core::Testbed (devices, radio, brokers,
 // aggregators, stores, chain) on the discrete-event kernel.
 //
-//   metro_10k        metro_fleet(32, 10000) on one shard
-//   metro_10k_4shard the same spec and seed on four shards; its trace
-//                    digest must equal a one-shard run's
-//   roam_soak        metro_fleet(8, 400) with heavy churn, an AP outage
-//                    and a backhaul partition, over several block intervals
+//   metro_10k   metro_fleet(32, 10000) on one shard; its traced run also
+//               runs the same spec and seed on four shards, whose trace
+//               digest must equal the one-shard run's
+//   roam_soak   metro_fleet(8, 400) with heavy churn, an AP outage and a
+//               backhaul partition, over several block intervals; not a
+//               benchmark workload of its own: perfbench/run.py runs it
+//               beside metro_10k's traced run for the chain, mobility and
+//               history layers metro_10k barely touches
 //
 // Set-up builds the testbed repeatedly; setup_s is the median over eleven
 // samples, each timing enough consecutive builds to last at least 50 ms.
@@ -15,13 +18,15 @@
 // per host second.  The measured phase's length is fixed by --seconds
 // through the workload's calibration (simulated seconds per host second on
 // the reference host), so a run does a fixed, seed-determined amount of
-// work and every count it reports is exact.  After the run the benchmark
-// reads the aggregators' stores with the dashboard query mix, then checks
+// work and every count it reports is exact.  After every measured slice
+// the benchmark reads the first aggregator's store with the dashboard
+// query mix (kernel parked, untimed by the slice); after the run it checks
 // the run's outputs.
 
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,7 +85,9 @@ core::ScenarioSpec roam_soak_spec(std::uint64_t seed) {
 struct FleetWorkload {
   const char* name;
   core::ScenarioSpec (*spec)(std::uint64_t);
-  std::size_t shards;
+  /// Shards of the parity run the traced binary makes after the measured
+  /// run (0: none).
+  std::size_t parity_shards;
   /// Untimed simulated seconds before the measured phase.
   double warmup_sim_s;
   /// Measured simulated seconds per --seconds (reference-host calibration).
@@ -94,11 +101,12 @@ struct FleetWorkload {
 // metro: registration and the flush of the devices' offline buffers end
 // by ~12 sim-s; from then on every device sends one record per report.
 // roam_soak: its 400 devices have registered by 10 sim-s; the churn, the
-// outage and the partition all fall in the measured phase.
+// outage and the partition all fall in the measured phase, which is 140
+// sim-s whatever --seconds says: the lag tail grows with the run, so a
+// longer phase would move ingest_lag_p99_ms.
 constexpr FleetWorkload kWorkloads[] = {
-    {"metro_10k", metro_spec, 1, 12.0, 0.4, 2.0, 0.25},
-    {"metro_10k_4shard", metro_spec, 4, 12.0, 0.4, 2.0, 0.25},
-    {"roam_soak", roam_soak_spec, 1, 10.0, 14.0, 140.0, 1.0},
+    {"metro_10k", metro_spec, 4, 12.0, 0.4, 2.0, 0.25},
+    {"roam_soak", roam_soak_spec, 0, 10.0, 0.0, 140.0, 1.0},
 };
 
 const FleetWorkload* find_workload(const std::string& name) {
@@ -113,7 +121,7 @@ const FleetWorkload* find_workload(const std::string& name) {
 std::unique_ptr<core::Testbed> build(const FleetWorkload& w,
                                      std::uint64_t seed) {
   return std::make_unique<core::Testbed>(w.spec(seed),
-                                         core::TestbedOptions{w.shards});
+                                         core::TestbedOptions{1});
 }
 
 struct Totals {
@@ -231,43 +239,56 @@ std::uint64_t lag_histogram_count(core::Testbed& bed) {
 }
 
 /// Dashboard reads of the first network's home devices in its aggregator's
-/// store after the run (the kernel is parked): one untimed warm-up
-/// refresh, then kRefreshes timed ones, so the refresh p99 has 15 samples
-/// beyond it.  Always the same devices, so every sample times the same
-/// reads: rotating over networks whose populations differ (roam_soak's
-/// churn) made the percentiles jump between the networks' modes.
+/// store, interleaved with the measured phase: after every measured slice
+/// (the kernel is parked) one block of refreshes, so the samples spread
+/// over the whole phase instead of one burst at the end, and host load
+/// that comes and goes over seconds lands on every run alike.  Each block
+/// starts with one untimed warm-up refresh: the slice before it has
+/// evicted the store from the caches, and those cold first refreshes, one
+/// per block, would otherwise make up the p99.  At least kRefreshes timed
+/// refreshes in all, so the refresh p99 has 15 samples beyond it.  Always
+/// the same devices, so every sample times the same reads: rotating over
+/// networks whose populations differ (roam_soak's churn) made the
+/// percentiles jump between the networks' modes.
 constexpr std::size_t kRefreshes = 1500;
 
-struct DashboardReads {
+class DashboardReads {
+ public:
+  explicit DashboardReads(core::Testbed& bed)
+      : engine_(bed.aggregator(0).query_engine()) {
+    for (std::size_t i = 0; i < bed.device_count(); ++i) {
+      if (bed.home_of(i) == 0) {
+        home_.push_back(bed.device(i).id());
+      }
+    }
+    std::sort(home_.begin(), home_.end());
+  }
+
+  /// One untimed warm-up refresh, then `n` timed ones.
+  void block(std::size_t n) {
+    QueryTally warmup;
+    round(warmup);
+    tally.failed += warmup.failed;
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < n; ++i) {
+      round(tally);
+    }
+    wall_s += seconds_since(t0);
+  }
+
   QueryTally tally;
   double wall_s = 0.0;
-};
 
-DashboardReads read_dashboards(core::Testbed& bed) {
-  DashboardReads reads;
-  const auto& engine = bed.aggregator(0).query_engine();
-  std::vector<core::DeviceId> home;
-  for (std::size_t i = 0; i < bed.device_count(); ++i) {
-    if (bed.home_of(i) == 0) {
-      home.push_back(bed.device(i).id());
+ private:
+  void round(QueryTally& into) const {
+    if (const auto wm = engine_.tsdb().observed_max_ts()) {
+      dashboard_round(engine_, *wm, into, &home_);
     }
   }
-  std::sort(home.begin(), home.end());
-  const auto round = [&engine, &home](QueryTally& tally) {
-    if (const auto wm = engine.tsdb().observed_max_ts()) {
-      dashboard_round(engine, *wm, tally, &home);
-    }
-  };
-  QueryTally warmup;
-  round(warmup);
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < kRefreshes; ++i) {
-    round(reads.tally);
-  }
-  reads.wall_s = seconds_since(t0);
-  reads.tally.failed += warmup.failed;
-  return reads;
-}
+
+  const emon::store::QueryEngine& engine_;
+  std::vector<core::DeviceId> home_;
+};
 
 /// Median host seconds per build over `samples` samples, each timing
 /// enough consecutive builds (teardown excluded) to last at least 50 ms,
@@ -341,6 +362,27 @@ bool billing_matches_chain(core::Testbed& bed) {
     compared += replay_records;
   }
   return ok && compared > 0;
+}
+
+/// The sharded kernel's layer metrics of `bed` after `sim_s` simulated
+/// seconds (a one-shard testbed reads one sync round per slice and no
+/// imbalance).
+void add_shard_metrics(std::map<std::string, double>& m, core::Testbed& bed,
+                       double sim_s) {
+  std::uint64_t max_shard = 0;
+  for (std::size_t s = 0; s < bed.shard_count(); ++s) {
+    max_shard = std::max(max_shard, bed.engine().shard(s).executed());
+  }
+  const double mean_shard =
+      double(bed.executed_events()) / double(bed.shard_count());
+  const double accepted =
+      double(std::max<std::uint64_t>(1, records_accepted(bed)));
+  m["sim.shard.sync_rounds_per_sim_s"] =
+      double(bed.engine().sync_rounds()) / sim_s;
+  m["sim.shard.cross_posts_per_record"] =
+      double(bed.engine().cross_posts()) / accepted;
+  m["sim.shard.event_imbalance"] =
+      mean_shard > 0 ? double(max_shard) / mean_shard : 0.0;
 }
 
 struct StateSample {
@@ -434,6 +476,9 @@ RunResult run_fleet(const Options& opt) {
   std::size_t peak_reporting = 0;
   std::vector<StateSample> samples;
   PathSnapshot at_measure;
+  DashboardReads reads{*bed};
+  const std::size_t refreshes_per_slice =
+      (kRefreshes + measured_slices - 1) / measured_slices;
   bed->start();
   for (int i = 1; i <= slices; ++i) {
     const bool measured = i > warmup_slices;
@@ -453,6 +498,7 @@ RunResult run_fleet(const Options& opt) {
       r.run_wall_s += wall_s;
       measured_records += n;
       slice_rates.push_back(double(n) / wall_s);
+      reads.block(refreshes_per_slice);
     }
     const std::int64_t now_ms = i * slice_ms;
     if (now_ms % 10'000 == 0 || i == slices) {
@@ -476,7 +522,6 @@ RunResult run_fleet(const Options& opt) {
   r.end_to_end["ingest_lag_p99_ms"] = quantile(lags, 0.99);
   lags = {};
 
-  DashboardReads reads = read_dashboards(*bed);
   QueryTally& q = reads.tally;
   const std::size_t n_queries = q.queries();
   r.end_to_end["query_p50_us"] = quantile(q.refresh_us, 0.50);
@@ -544,20 +589,12 @@ RunResult run_fleet(const Options& opt) {
   // -- Per-layer counts (public accessors) -------------------------------------
   auto& m = r.per_layer;
   std::uint64_t callbacks = 0;
-  std::uint64_t max_shard = 0;
   for (std::size_t s = 0; s < bed->shard_count(); ++s) {
     callbacks += bed->engine().shard(s).callbacks_stored();
-    max_shard = std::max(max_shard, bed->engine().shard(s).executed());
   }
-  const double mean_shard = double(events) / double(bed->shard_count());
   m["sim.kernel.events_per_record"] = double(events) / accepted;
   m["sim.kernel.callbacks_stored_per_record"] = double(callbacks) / accepted;
-  m["sim.shard.sync_rounds_per_sim_s"] =
-      double(bed->engine().sync_rounds()) / sim_s;
-  m["sim.shard.cross_posts_per_record"] =
-      double(bed->engine().cross_posts()) / accepted;
-  m["sim.shard.event_imbalance"] =
-      mean_shard > 0 ? double(max_shard) / mean_shard : 0.0;
+  add_shard_metrics(m, *bed, sim_s);
   const double trace_points = double(bed->trace().total_points());
   m["sim.trace.points_per_record"] = trace_points / accepted;
   m["sim.trace.series"] = double(bed->trace().series_names().size());
@@ -637,17 +674,21 @@ RunResult run_fleet(const Options& opt) {
     m["state.seen_sequences"] = double(t.seen_sequences);
   }
 
-  // -- Checks that run the fleet further (untraced run only) ------------------
-  if (!opt.traced && w.shards > 1) {
-    // Parity: a one-shard run of the same spec and seed, after this
-    // testbed is gone, must produce the same trace digest.
+  // -- Checks that run the fleet further ---------------------------------------
+  if (opt.traced && w.parity_shards > 1) {
+    // Parity: the same spec and seed on several shards, run after this
+    // testbed is gone and without the dashboard reads, must produce the
+    // same trace digest.  Its kernel gives the sharded-kernel metrics.
     bed.reset();
-    core::Testbed ref{w.spec(opt.seed), core::TestbedOptions{1}};
-    ref.start();
+    core::Testbed sharded{w.spec(opt.seed),
+                          core::TestbedOptions{w.parity_shards}};
+    sharded.start();
     for (int i = 1; i <= slices; ++i) {
-      ref.run_for(sim::milliseconds(slice_ms));
+      sharded.run_for(sim::milliseconds(slice_ms));
     }
-    r.check("digest_equals_1shard", ref.trace().digest() == digest);
+    r.check("digest_equals_" + std::to_string(w.parity_shards) + "shard",
+            sharded.trace().digest() == digest);
+    add_shard_metrics(m, sharded, sim_s);
   }
   if (!opt.traced && std::string(w.name) == "roam_soak") {
     r.check("billing_store_equals_chain_replay", billing_matches_chain(*bed));

@@ -1,7 +1,7 @@
 #pragma once
-// The four benchmark workloads.  Fleet workloads (metro_10k,
-// metro_10k_4shard, roam_soak) drive a core::Testbed; serve_mixed drives
-// core::ServePipeline with a concurrent query thread.
+// The three benchmark workloads.  Fleet workloads (metro_10k, roam_soak)
+// drive a core::Testbed; serve_mixed drives core::ServePipeline with a
+// concurrent query thread.
 
 #include <string>
 #include <vector>
