@@ -2,7 +2,8 @@
 //
 // Replays the serve workload's ingest path (Tsdb::ingest + the
 // RollupEngine hook — the EMON_HOT functions tools/emon_lint.py polices)
-// through util/alloc_probe.hpp's counting operator new, in three phases:
+// through util/alloc_probe.hpp's counting operator new (linked from
+// tests/support/alloc_shim.cpp), in three phases:
 //
 //   cold     the first record of every device: series creation, chunk and
 //            dedup-ring setup, rollup series/net-pane layout.  Allocations
@@ -35,8 +36,6 @@
 #include "store/rollup.hpp"
 #include "store/tsdb.hpp"
 #include "util/alloc_probe.hpp"
-
-EMON_DEFINE_ALLOC_COUNTING_NEW
 
 namespace {
 

@@ -28,7 +28,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       chain_secret_("secret-" + id_),
       trace_(trace),
       log_(id_),
-      metrics_(std::max<std::size_t>(8, config.aggregator.query_workers)),
       broker_(kernel, id_),
       tdma_(config.aggregator.tdma),
       detector_(AnomalyParams{
@@ -40,9 +39,7 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
         o.metrics = &metrics_;
         return o;
       }()),
-      query_engine_(tsdb_, store::QueryEngineOptions{
-                               config.aggregator.query_workers, &metrics_,
-                               config.aggregator.slow_query_warn_ns}),
+      query_engine_(tsdb_, store::QueryEngineOptions{1, &metrics_}),
       rollup_engine_(tsdb_, &metrics_),
       subscriptions_(broker_, rollup_engine_, kernel.now().ns(),
                      config.aggregator.rollup_lateness.ns(),
@@ -60,7 +57,6 @@ Aggregator::Aggregator(sim::Kernel& kernel, std::string id, NetworkId network,
       }(), [&kernel] { return kernel.now(); }) {
   chain_.register_writer(chain::WriterKey{id_, chain_secret_});
   commits_.register_writer(id_);
-  billing_.bind_store(&tsdb_);
   billing_.bind_engine(&query_engine_);
   // Every accepted record folds into the maintained roll-ups as it lands.
   tsdb_.set_ingest_hook(&rollup_engine_);
@@ -109,12 +105,11 @@ void Aggregator::start() {
   }
   started_ = true;
   window_start_ = kernel_.now();
-  // Maintained live roll-ups, one window per verification interval, grid
-  // anchored at the verify timer's epoch.  The live-records rollup backs
-  // both the verification hot read (hot_window before the window closes)
-  // and the fleet-health snapshot; the unfiltered one feeds the billing
-  // preview.  Specs are shared by equality, so an MQTT dashboard watching
-  // the same view rides the same maintained fold.
+  // The maintained live roll-up behind the verification hot read: one
+  // window per verification interval over live records at this location,
+  // grid anchored at the verify timer's epoch.  Specs are shared by
+  // equality, so an MQTT dashboard watching the same view rides the same
+  // maintained fold.
   store::RollupSpec live_spec;
   live_spec.window_ns = config_.aggregator.verify_interval.ns();
   live_spec.slide_ns = live_spec.window_ns;
@@ -122,19 +117,11 @@ void Aggregator::start() {
   live_spec.anchor_ns = window_start_.ns();
   live_spec.filter.network = network_;
   live_spec.filter.stored_offline = false;
+  // The subscription exists to hold the roll-up for hot_window(); nothing
+  // consumes its closed windows.
   verify_sub_ = subscriptions_.subscribe_local(
-      live_spec,
-      [this](const store::ClosedWindow& window) { latest_health_ = window; });
+      live_spec, [](const store::ClosedWindow&) {});
   verify_rollup_id_ = subscriptions_.backing_rollup(verify_sub_);
-  store::RollupSpec preview_spec;
-  preview_spec.window_ns = live_spec.window_ns;
-  preview_spec.slide_ns = live_spec.slide_ns;
-  preview_spec.lateness_ns = live_spec.lateness_ns;
-  preview_spec.anchor_ns = live_spec.anchor_ns;
-  preview_sub_ = subscriptions_.subscribe_local(
-      preview_spec, [this](const store::ClosedWindow& window) {
-        billing_.preview_observe(window);
-      });
   feeder_timer_ = std::make_unique<sim::PeriodicTimer>(
       kernel_, config_.device.t_measure, [this] { on_feeder_sample(); });
   verify_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -161,16 +148,12 @@ void Aggregator::stop() {
   block_timer_.reset();
   beacon_timer_.reset();
   expiry_timer_.reset();
-  // Release the start()-registered roll-up consumers so a restart anchors a
-  // fresh window grid instead of stacking subscriptions.
+  // Release the start()-registered roll-up so a restart anchors a fresh
+  // window grid instead of stacking subscriptions.
   if (verify_sub_ != 0) {
     subscriptions_.unsubscribe_local(verify_sub_);
     verify_sub_ = 0;
     verify_rollup_id_ = 0;
-  }
-  if (preview_sub_ != 0) {
-    subscriptions_.unsubscribe_local(preview_sub_);
-    preview_sub_ = 0;
   }
 }
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,13 +136,6 @@ class Aggregator {
   [[nodiscard]] const SubscriptionService& subscriptions() const noexcept {
     return subscriptions_;
   }
-  /// Latest closed fleet-health window (live records at this location),
-  /// maintained by a local push subscription; nullopt before the first
-  /// window closes.
-  [[nodiscard]] const std::optional<store::ClosedWindow>& fleet_health()
-      const noexcept {
-    return latest_health_;
-  }
   [[nodiscard]] const chain::Ledger& replica() const noexcept {
     return replica_;
   }
@@ -222,7 +214,8 @@ class Aggregator {
 
   /// Unified per-aggregator metrics registry.  Declared before every
   /// subsystem that records into it (store, query engine, rollups,
-  /// subscriptions, broker) so handles never outlive their storage.
+  /// subscriptions, broker) so handles never outlive their storage.  The
+  /// default 8 slots cover the single query worker and the store's shards.
   obs::MetricsRegistry metrics_;
 
   net::MqttBroker broker_;
@@ -232,8 +225,9 @@ class Aggregator {
   /// Single source of historical truth: billing, verification windows and
   /// forecasting all read from here instead of keeping accumulators.
   store::Tsdb tsdb_;
-  /// Fleet-wide reads over tsdb_ (declared after it; workers from
-  /// config.aggregator.query_workers — 1 means inline, no pool threads).
+  /// Fleet-wide reads over tsdb_ (declared after it).  One worker: queries
+  /// run inline on the event thread, so a many-aggregator fleet spawns no
+  /// pool threads; results are bit-identical for any worker count.
   store::QueryEngine query_engine_;
   /// Ingest-maintained window aggregates (tsdb_'s ingest hook; window
   /// drains share query_engine_'s pool).
@@ -256,11 +250,9 @@ class Aggregator {
   sim::SimTime last_membership_change_{};
   std::vector<VerificationResult> verification_history_;
 
-  // Live roll-up consumers (registered at start(), released at stop()).
-  std::uint64_t verify_sub_ = 0;        // fleet-health local subscription
+  // The verification roll-up (registered at start(), released at stop()).
+  std::uint64_t verify_sub_ = 0;        // local subscription holding it
   std::uint64_t verify_rollup_id_ = 0;  // its backing rollup (hot reads)
-  std::uint64_t preview_sub_ = 0;       // billing-preview local subscription
-  std::optional<store::ClosedWindow> latest_health_;
   std::vector<DeviceId> member_ids_;
   bool member_ids_stale_ = true;
 

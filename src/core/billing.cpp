@@ -16,18 +16,6 @@ void BillingService::mark_billable(const DeviceId& id, std::int64_t from_ns) {
   }
 }
 
-void BillingService::preview_observe(const store::ClosedWindow& window) {
-  ++preview_.windows;
-  preview_.records += window.merged.count;
-  for (const auto& [network, usage] : window.breakdown) {
-    const double kwh = usage.energy_mwh / 1e6;  // mWh -> kWh
-    const double multiplier =
-        network != home_ ? tariff_.roaming_multiplier : 1.0;
-    preview_.energy_mwh += usage.energy_mwh;
-    preview_.est_cost += kwh * tariff_.home_price_per_kwh * multiplier;
-  }
-}
-
 void BillingService::ingest(const ConsumptionRecord& record) {
   // Duplicate suppression on (device, sequence): retransmitted or doubly
   // forwarded records must not double-bill.
@@ -78,12 +66,13 @@ Invoice BillingService::price(const DeviceId& id,
 }
 
 Invoice BillingService::invoice_for(const DeviceId& id) const {
-  if (store_backed()) {
+  if (engine_ != nullptr) {
     const auto mark = billable_.find(id);
     const std::int64_t from_ns =
         mark == billable_.end() ? INT64_MIN : mark->second;
     std::map<NetworkId, Bucket> usage;
-    for (const auto& [network, use] : tsdb_->network_breakdown(id, from_ns)) {
+    for (const auto& [network, use] :
+         engine_->tsdb().network_breakdown(id, from_ns)) {
       usage[network] = Bucket{use.energy_mwh, use.records};
     }
     return price(id, usage);
@@ -110,44 +99,47 @@ store::QuerySpec BillingService::billable_spec() const {
 
 std::vector<Invoice> BillingService::invoice_all() const {
   std::vector<Invoice> out;
-  // An empty billable set must not fall into the engine's "empty device
-  // list = every device" convention.
-  if (store_backed() && engine_ != nullptr && !billable_.empty()) {
-    // One shard-parallel fleet query answers every device's breakdown.
-    // Merge-join against the billed set (both sorted) so a billable device
-    // whose history is entirely out of scope still gets its zero invoice,
-    // exactly like the per-device path.
-    const store::FleetBreakdown fleet =
-        engine_->network_breakdown(billable_spec());
-    const auto billed = billed_devices();
-    out.reserve(billed.size());
-    std::size_t i = 0;
-    for (const auto& id : billed) {
-      while (i < fleet.per_device.size() && fleet.per_device[i].first < id) {
-        ++i;
-      }
-      std::map<NetworkId, Bucket> buckets;
-      if (i < fleet.per_device.size() && fleet.per_device[i].first == id) {
-        for (const auto& [network, use] : fleet.per_device[i].second) {
-          buckets[network] = Bucket{use.energy_mwh, use.records};
-        }
-      }
-      out.push_back(price(id, buckets));
+  if (engine_ == nullptr) {
+    for (const auto& id : billed_devices()) {
+      out.push_back(invoice_for(id));
     }
     return out;
   }
-  for (const auto& id : billed_devices()) {
-    out.push_back(invoice_for(id));
+  // An empty billable set must not fall into the engine's "empty device
+  // list = every device" convention.
+  if (billable_.empty()) {
+    return out;
+  }
+  // One shard-parallel fleet query answers every device's breakdown.
+  // Merge-join against the billed set (both sorted) so a billable device
+  // whose history is entirely out of scope still gets its zero invoice,
+  // exactly as invoice_for() prices it.
+  const store::FleetBreakdown fleet =
+      engine_->network_breakdown(billable_spec());
+  const auto billed = billed_devices();
+  out.reserve(billed.size());
+  std::size_t i = 0;
+  for (const auto& id : billed) {
+    while (i < fleet.per_device.size() && fleet.per_device[i].first < id) {
+      ++i;
+    }
+    std::map<NetworkId, Bucket> buckets;
+    if (i < fleet.per_device.size() && fleet.per_device[i].first == id) {
+      for (const auto& [network, use] : fleet.per_device[i].second) {
+        buckets[network] = Bucket{use.energy_mwh, use.records};
+      }
+    }
+    out.push_back(price(id, buckets));
   }
   return out;
 }
 
 std::vector<DeviceId> BillingService::billed_devices() const {
   std::vector<DeviceId> out;
-  if (store_backed()) {
+  if (engine_ != nullptr) {
     out.reserve(billable_.size());
     for (const auto& [id, _] : billable_) {
-      if (tsdb_->has_device(id)) {
+      if (engine_->tsdb().has_device(id)) {
         out.push_back(id);
       }
     }
@@ -161,27 +153,16 @@ std::vector<DeviceId> BillingService::billed_devices() const {
 }
 
 double BillingService::total_energy_mwh() const {
-  if (store_backed()) {
-    if (engine_ != nullptr) {
-      // One fleet query across all billable devices (per-device scope marks
-      // ride along as t0 overrides) instead of a per-device loop.  The
-      // empty set short-circuits: an empty device list means "every device"
-      // to the engine.
-      if (billable_.empty()) {
-        return 0.0;
-      }
-      return engine_->network_breakdown(billable_spec()).total_energy_mwh();
-    }
-    double total = 0.0;
-    for (const auto& [id, from_ns] : billable_) {
-      for (const auto& [network, use] : tsdb_->network_breakdown(id, from_ns)) {
-        (void)network;
-        total += use.energy_mwh;
-      }
-    }
-    return total;
+  if (engine_ == nullptr) {
+    return total_mwh_;
   }
-  return total_mwh_;
+  // One fleet query across all billable devices (per-device scope marks
+  // ride along as t0 overrides).  The empty set short-circuits: an empty
+  // device list means "every device" to the engine.
+  if (billable_.empty()) {
+    return 0.0;
+  }
+  return engine_->network_breakdown(billable_spec()).total_energy_mwh();
 }
 
 }  // namespace emon::core

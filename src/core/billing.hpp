@@ -10,15 +10,14 @@
 // use).
 //
 // Two modes share the pricing logic:
-//   * store-backed (the aggregator's mode): bind_store() points the service
-//     at the aggregator's Tsdb and invoices are priced from
-//     `network_breakdown()` queries — the store is the single source of
-//     historical truth, there is no second accumulator to drift from it.
-//     mark_billable() scopes invoicing to home members (the store also holds
-//     visiting devices' history, which their *home* aggregator bills).
-//     bind_engine() additionally routes the fleet-wide reads (all-device
-//     totals, invoice_all) through the shard-parallel store::QueryEngine as
-//     a single fleet query instead of a per-device loop.
+//   * engine-backed (the aggregator's mode): bind_engine() points the
+//     service at a store::QueryEngine, and invoices are priced from
+//     `network_breakdown()` reads of the Tsdb that engine wraps — the store
+//     is the single source of historical truth, there is no second
+//     accumulator to drift from it.  The fleet-wide reads (all-device
+//     totals, invoice_all) run as one shard-parallel fleet query.
+//     mark_billable() scopes invoicing to home members (the store also
+//     holds visiting devices' history, which their *home* aggregator bills).
 //   * standalone accumulator: `ingest()`/`ingest_ledger()` keep exact
 //     per-device/per-network buckets — used for audit replay of the chain
 //     and as an independent reference in tests.
@@ -30,8 +29,6 @@
 #include "chain/ledger.hpp"
 #include "core/records.hpp"
 #include "store/query_engine.hpp"
-#include "store/rollup.hpp"
-#include "store/tsdb.hpp"
 
 namespace emon::core {
 
@@ -58,31 +55,14 @@ struct Invoice {
   double total_cost = 0.0;
 };
 
-/// Running cost estimate fed by maintained roll-up windows (push path) —
-/// a dashboard figure, not an invoice.  It folds every closed window's
-/// per-network energy under the tariff as it arrives, so it includes
-/// visiting devices' usage (their home aggregator invoices them) and
-/// excludes records the roll-up dropped as too late.  Exact billing stays
-/// on the store-backed invoice path.
-struct BillingPreview {
-  std::uint64_t windows = 0;
-  std::uint64_t records = 0;
-  double energy_mwh = 0.0;
-  double est_cost = 0.0;
-};
-
 class BillingService {
  public:
   BillingService(NetworkId home_network, Tariff tariff);
 
-  // -- Store-backed mode -------------------------------------------------------
+  // -- Engine-backed mode ------------------------------------------------------
 
-  /// Prices invoices from `tsdb` queries instead of internal buckets.
-  void bind_store(const store::Tsdb* tsdb) noexcept { tsdb_ = tsdb; }
-  [[nodiscard]] bool store_backed() const noexcept { return tsdb_ != nullptr; }
-  /// Routes fleet-wide reads through the shard-parallel query engine (one
-  /// fleet query over the billable set instead of a per-device loop).  The
-  /// engine must wrap the same Tsdb passed to bind_store().
+  /// Prices invoices from queries over `engine`'s store instead of internal
+  /// buckets; fleet-wide reads run as one fleet query over the billable set.
   void bind_engine(const store::QueryEngine* engine) noexcept {
     engine_ = engine;
   }
@@ -92,15 +72,6 @@ class BillingService {
   /// ownership transfer must not re-bill visiting-era history the previous
   /// master already invoiced.  An earlier existing mark is kept.
   void mark_billable(const DeviceId& id, std::int64_t from_ns = INT64_MIN);
-
-  // -- Live preview (push path) ------------------------------------------------
-
-  /// Folds one closed roll-up window into the running preview (the
-  /// aggregator's billing-preview subscription hands every window here).
-  void preview_observe(const store::ClosedWindow& window);
-  [[nodiscard]] const BillingPreview& preview() const noexcept {
-    return preview_;
-  }
 
   // -- Standalone accumulator mode ---------------------------------------------
 
@@ -114,9 +85,9 @@ class BillingService {
   // -- Invoicing (both modes) --------------------------------------------------
 
   [[nodiscard]] Invoice invoice_for(const DeviceId& id) const;
-  /// Invoices every billed device (store-backed mode with an engine bound:
-  /// a single fleet breakdown query, shard-parallel; otherwise a per-device
-  /// loop).  Returned in sorted device order.
+  /// Invoices every billed device (engine-backed: a single fleet breakdown
+  /// query, shard-parallel; accumulator: a per-device loop).  Returned in
+  /// sorted device order.
   [[nodiscard]] std::vector<Invoice> invoice_all() const;
   [[nodiscard]] std::vector<DeviceId> billed_devices() const;
   /// Total energy across all billed devices and networks (conservation
@@ -148,7 +119,6 @@ class BillingService {
 
   NetworkId home_;
   Tariff tariff_;
-  const store::Tsdb* tsdb_ = nullptr;
   const store::QueryEngine* engine_ = nullptr;
   /// Billable devices -> earliest record timestamp this service bills.
   std::map<DeviceId, std::int64_t> billable_;
@@ -156,7 +126,6 @@ class BillingService {
   /// to fleet queries via QuerySpec::borrowed_devices so every invoicing
   /// read skips both the per-call id copy and the engine's sort+unique.
   std::vector<DeviceId> billable_ids_;
-  BillingPreview preview_;
   // Accumulator mode: device -> network -> bucket.
   std::map<DeviceId, std::map<NetworkId, Bucket>> buckets_;
   // device -> seen sequence numbers (duplicate suppression).

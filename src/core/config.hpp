@@ -52,13 +52,6 @@ struct AggregatorConfig {
   double anomaly_rel_tolerance = 0.04;
   /// Membership expiry for temporary members with no traffic.
   sim::Duration temp_member_timeout = sim::seconds(30);
-  /// Worker count of the fleet-wide Tsdb query engine (verification-window
-  /// reads, store-backed billing, dashboard roll-ups).  1 runs queries
-  /// inline on the event thread with no pool threads — simulations keep the
-  /// default so a 32-aggregator fleet does not spawn 32 pools; a serving
-  /// deployment sizes this by cores.  Results are bit-identical for any
-  /// value (see store/query_engine.hpp).
-  std::size_t query_workers = 1;
   /// Lateness horizon of the maintained roll-ups behind live dashboard
   /// subscriptions and verification hot reads: a window [E-W, E) closes
   /// (and pushes) once the max ingested record timestamp passes
@@ -66,11 +59,6 @@ struct AggregatorConfig {
   /// (ack_timeout * max_attempts) so ordinary redelivery never makes a
   /// record "too late"; later records still land in the cold query path.
   sim::Duration rollup_lateness = sim::seconds(2);
-  /// Slow-query log threshold for the embedded query engine, in *wall*
-  /// nanoseconds (latency of the fleet query itself, not sim time).  A
-  /// query at or over it logs a warning and bumps the slow_queries
-  /// counter.  0 disables the slow-query log.
-  std::uint64_t slow_query_warn_ns = 0;
 };
 
 struct SystemConfig {

@@ -19,8 +19,9 @@
 // push compares == to QueryEngine::aggregate over the same range — the
 // differential tests pin exactly that.
 //
-// Colocated consumers (fleet health, billing preview) use subscribe_local():
-// same rollup sharing, no MQTT hop — the callback runs inside pump().
+// Colocated consumers (the aggregator's verification roll-up) use
+// subscribe_local(): same rollup sharing, no MQTT hop — the callback runs
+// inside pump().
 
 #include <cstdint>
 #include <functional>

@@ -127,9 +127,7 @@ void QueryPool::parallel_for(
 // ---------------------------------------------------------------------------
 
 QueryEngine::QueryEngine(const Tsdb& tsdb, QueryEngineOptions options)
-    : tsdb_(&tsdb),
-      pool_(options.workers),
-      slow_query_ns_(options.slow_query_ns) {
+    : tsdb_(&tsdb), pool_(options.workers) {
   if (options.metrics != nullptr) {
     auto& reg = *options.metrics;
     aggregate_ns_ = reg.histogram("query_ns{kind=\"aggregate\"}");
@@ -137,21 +135,12 @@ QueryEngine::QueryEngine(const Tsdb& tsdb, QueryEngineOptions options)
     scan_ns_ = reg.histogram("query_ns{kind=\"scan\"}");
     downsample_ns_ = reg.histogram("query_ns{kind=\"downsample\"}");
     breakdown_ns_ = reg.histogram("query_ns{kind=\"network_breakdown\"}");
-    slow_queries_ = reg.counter("slow_queries");
   }
 }
 
-void QueryEngine::finish_query(const char* kind, obs::Histogram h,
-                               const obs::StopWatch& sw) const {
-  if (!sw.armed()) {
-    return;
-  }
-  const std::uint64_t ns = sw.stop();
-  h.record(ns);
-  if (slow_query_ns_ != 0 && ns >= slow_query_ns_) {
-    slow_queries_.inc();
-    log_.warn("slow query kind=", kind, " latency_ns=", ns,
-              " threshold_ns=", slow_query_ns_);
+void QueryEngine::finish_query(obs::Histogram h, const obs::StopWatch& sw) {
+  if (sw.armed()) {
+    h.record(sw.stop());
   }
 }
 
@@ -258,7 +247,7 @@ FleetAggregate QueryEngine::aggregate(const QuerySpec& spec) const {
     (void)id;
     merge_aggregate(out.merged, agg);
   }
-  finish_query("aggregate", aggregate_ns_, sw);
+  finish_query(aggregate_ns_, sw);
   return out;
 }
 
@@ -281,7 +270,7 @@ FleetStats QueryEngine::current_stats(const QuerySpec& spec) const {
     (void)id;
     out.merged.merge(stats);
   }
-  finish_query("current_stats", current_stats_ns_, sw);
+  finish_query(current_stats_ns_, sw);
   return out;
 }
 
@@ -314,7 +303,7 @@ FleetScan QueryEngine::scan(const QuerySpec& spec) const {
                        std::make_move_iterator(records.begin()),
                        std::make_move_iterator(records.end()));
   }
-  finish_query("scan", scan_ns_, sw);
+  finish_query(scan_ns_, sw);
   return out;
 }
 
@@ -369,7 +358,7 @@ FleetWindows QueryEngine::downsample(const QuerySpec& spec) const {
     }
     out.merged.push_back(window);
   }
-  finish_query("downsample", downsample_ns_, sw);
+  finish_query(downsample_ns_, sw);
   return out;
 }
 
@@ -395,7 +384,7 @@ FleetBreakdown QueryEngine::network_breakdown(const QuerySpec& spec) const {
       total.energy_mwh += use.energy_mwh;
     }
   }
-  finish_query("network_breakdown", breakdown_ns_, sw);
+  finish_query(breakdown_ns_, sw);
   return out;
 }
 

@@ -46,7 +46,6 @@
 
 #include "obs/metrics.hpp"
 #include "store/tsdb.hpp"
-#include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -56,14 +55,9 @@ struct QueryEngineOptions {
   /// Concurrent executors per query.  1 = run inline on the caller (no pool
   /// threads); N > 1 = N-1 pool threads plus the participating caller.
   std::size_t workers = 1;
-  /// Registry for per-query-kind latency histograms (query_ns{kind="..."})
-  /// and the slow_queries counter; null = no query metrics.
+  /// Registry for per-query-kind latency histograms (query_ns{kind="..."});
+  /// null = no query metrics.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Slow-query log threshold (wall ns): a fleet query at or over it logs a
-  /// warning with kind and latency, and bumps slow_queries.  0 disables.
-  /// Only effective while metrics are enabled (the timer never arms
-  /// otherwise).
-  std::uint64_t slow_query_ns = 0;
 };
 
 /// Reusable fork-join pool: parallel_for(n, fn) runs fn(0..n-1) striped
@@ -254,25 +248,18 @@ class QueryEngine {
   [[nodiscard]] std::vector<std::pair<DeviceId, T>> per_device(
       const QuerySpec& spec, const Fn& fn) const;
 
-  /// Records one finished query: latency histogram for its kind, plus the
-  /// slow-query warning/counter when the threshold is set and exceeded.
+  /// Records one finished query's latency into its kind's histogram.
   /// Safe from any number of concurrent query callers racing live ingest:
-  /// histogram/counter records are lock-free atomics and the logger
-  /// serializes emission internally (util/log.hpp) — nothing here assumes
-  /// a single query thread.
-  void finish_query(const char* kind, obs::Histogram h,
-                    const obs::StopWatch& sw) const;
+  /// histogram records are lock-free atomics.
+  static void finish_query(obs::Histogram h, const obs::StopWatch& sw);
 
   const Tsdb* tsdb_;
   QueryPool pool_;
-  std::uint64_t slow_query_ns_ = 0;
   obs::Histogram aggregate_ns_;
   obs::Histogram current_stats_ns_;
   obs::Histogram scan_ns_;
   obs::Histogram downsample_ns_;
   obs::Histogram breakdown_ns_;
-  obs::Counter slow_queries_;
-  util::Logger log_{"query-engine"};
 };
 
 }  // namespace emon::store

@@ -1,8 +1,8 @@
 #pragma once
 // Incremental roll-up engine: materialized sliding-window aggregates
 // maintained *at ingest*, so dashboard-shaped reads (verification windows,
-// fleet health, billing previews, push subscriptions) stop re-folding the
-// same sealed segments on every poll.
+// push subscriptions) stop re-folding the same sealed segments on every
+// poll.
 //
 // Model — panes + two-stacks (DABA-Lite-style) window fold:
 //   * Event time is cut into panes of `slide_ns` anchored at `anchor_ns`.

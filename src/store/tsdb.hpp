@@ -286,11 +286,11 @@ class Tsdb {
   /// overloads below are hash-free.  Caller must hold a read_guard() (the
   /// ingest thread is exempt).
   [[nodiscard]] SeriesRef lookup(const DeviceId& id) const;
-  /// Visits every series owned by shard `shard` in sorted device order.
-  /// The fleet engine's all-devices fold: the per-device re-hash of
-  /// for_each_device_in_shard + public lookup collapses into the index
-  /// walk.  Pins internally; the refs handed to `fn` are valid only during
-  /// that call.
+  /// Visits every series owned by shard `shard` in sorted device order —
+  /// the fleet engine's all-devices fold, copy-free and without a
+  /// per-device re-hash (a fleet query must not materialize 10k id strings
+  /// per shard just to iterate them).  Pins internally; the refs handed to
+  /// `fn` are valid only during that call.
   void for_each_series_in_shard(
       std::size_t shard,
       const std::function<void(const DeviceId&, SeriesRef)>& fn) const;
@@ -346,13 +346,6 @@ class Tsdb {
     return shards_.size();
   }
   [[nodiscard]] std::size_t shard_of(const DeviceId& id) const noexcept;
-  /// Visits every device id owned by shard `shard` in sorted order — the
-  /// query engine's unit of work partitioning, copy-free (a fleet query
-  /// must not materialize 10k id strings per shard just to iterate them).
-  /// Pins internally.
-  void for_each_device_in_shard(
-      std::size_t shard,
-      const std::function<void(const DeviceId&)>& fn) const;
 
   /// Snapshot objects retired but not yet reclaimed (tests/observability).
   [[nodiscard]] std::size_t retired_snapshots() const noexcept {

@@ -15,7 +15,11 @@
 //     EMON_DEFINE_ALLOC_COUNTING_NEW
 //
 // at namespace scope, which replaces the global operator new/delete with
-// malloc/free shims that bump AllocProbe when armed.  The probe is
+// malloc/free shims that bump AllocProbe when armed.  Give that unit
+// nothing else and compile it with -fno-builtin-malloc -fno-builtin-free
+// (tests/support/alloc_shim.cpp is the one the main build links): GCC 12
+// at -O1+ miscompiled Testbed teardown when the shim shared a unit that
+// inlined Testbed code.  The probe is
 // process-global and NOT reentrancy-guarded — arm it only around
 // single-threaded measurement windows (the ingest path is single-writer by
 // contract anyway).

@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/local_store.hpp"
 #include "core/protocol.hpp"
 #include "core/records.hpp"
 #include "core/scenario.hpp"
 #include "net/mqtt.hpp"
+#include "store/series_store.hpp"
 #include "util/bytes.hpp"
 
 namespace emon::core {
@@ -273,7 +273,10 @@ TEST(KernelEdge, ScheduleAtCurrentTimeInsideCallbackRunsAfter) {
 // ---------------------------------------------------------------------------
 
 TEST(StoreEdge, PushFrontBeyondCapacityTrimsOldest) {
-  LocalStore store{3};
+  store::SeriesStoreOptions opt;
+  opt.max_records = 3;
+  opt.byte_budget = 0;
+  store::SeriesStore store{opt};
   std::vector<ConsumptionRecord> batch(5);
   for (std::uint64_t i = 0; i < 5; ++i) {
     batch[i].sequence = i + 1;
@@ -339,6 +342,20 @@ TEST(AggregatorEdge, StopHaltsPeriodicDuties) {
   agg.start();
   bed.run_for(seconds(5));
   EXPECT_GT(agg.verification_history().size(), windows);
+}
+
+TEST(AggregatorEdge, MaintainsOnlyTheVerificationRollup) {
+  // The verification window's hot read is the one roll-up an aggregator
+  // keeps; stop() releases it and a restart registers it once again.
+  Testbed bed{small_params(13)};
+  auto& agg = bed.aggregator(0);
+  bed.start();
+  EXPECT_EQ(agg.subscriptions().active_rollups(), 1u);
+  agg.stop();
+  EXPECT_EQ(agg.subscriptions().active_rollups(), 0u);
+  agg.start();
+  bed.run_for(seconds(5));
+  EXPECT_EQ(agg.subscriptions().active_rollups(), 1u);
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //   * first-seen series creation, network-dictionary interning, and the
 //     rollup's series/net-pane setup.
 // The measurement window then replays 64 more records per device with the
-// seal threshold parked far away, so nothing cold can fire.
+// seal threshold parked far away, so nothing cold can fire.  The counting
+// operator new comes from the linked tests/support/alloc_shim.cpp object.
 
 #include <gtest/gtest.h>
 
@@ -25,8 +26,6 @@
 #include "store/rollup.hpp"
 #include "store/tsdb.hpp"
 #include "util/alloc_probe.hpp"
-
-EMON_DEFINE_ALLOC_COUNTING_NEW
 
 namespace emon::store {
 namespace {

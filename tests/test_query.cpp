@@ -536,7 +536,6 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   }
   const QueryEngine engine{db, QueryEngineOptions{4}};
   core::BillingService backed{"wan-0", core::Tariff{}};
-  backed.bind_store(&db);
   backed.bind_engine(&engine);
   for (const auto& id : fleet.devices) {
     backed.mark_billable(id);
@@ -563,7 +562,6 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   }
   // Billing-scope marks ride the fleet query as t0 overrides.
   core::BillingService scoped{"wan-0", core::Tariff{}};
-  scoped.bind_store(&db);
   scoped.bind_engine(&engine);
   const std::int64_t cut =
       fleet.t_min_ns + (fleet.t_max_ns - fleet.t_min_ns) / 2;
@@ -576,7 +574,6 @@ TEST(QueryEngine, StoreBackedBillingViaEngineMatchesExactAccumulator) {
   EXPECT_NEAR(scoped.total_energy_mwh(), want_energy, 1e-9);
   // No billable devices: the engine path must not widen to every device.
   core::BillingService empty{"wan-0", core::Tariff{}};
-  empty.bind_store(&db);
   empty.bind_engine(&engine);
   EXPECT_EQ(empty.total_energy_mwh(), 0.0);
   EXPECT_TRUE(empty.invoice_all().empty());

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/billing.hpp"
-#include "core/local_store.hpp"
 #include "core/records.hpp"
+#include "store/query_engine.hpp"
 #include "store/segment.hpp"
 #include "store/series_store.hpp"
 #include "store/tsdb.hpp"
@@ -356,7 +356,7 @@ TEST(SeriesStore, PushFrontPreservesOrder) {
   }
 }
 
-TEST(SeriesStore, RecordCapMatchesLocalStoreSemantics) {
+TEST(SeriesStore, RecordCapKeepsNewestInOrder) {
   SeriesStoreOptions opt;
   opt.byte_budget = 0;
   opt.max_records = 50;
@@ -578,25 +578,6 @@ TEST(SeriesStore, RejectsUnboundedAndZeroThreshold) {
   SeriesStoreOptions zero_seal;
   zero_seal.seal_threshold = 0;
   EXPECT_THROW(SeriesStore{zero_seal}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// LocalStore counter reset (the legacy FIFO keeps its contract)
-// ---------------------------------------------------------------------------
-
-TEST(LocalStoreCounters, ResetCountersRebases) {
-  core::LocalStore store{3};
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ConsumptionRecord r;
-    r.sequence = i;
-    store.push(std::move(r));
-  }
-  EXPECT_EQ(store.dropped(), 7u);
-  store.clear();
-  EXPECT_EQ(store.dropped(), 7u);  // clear() preserves counters...
-  store.reset_counters();          // ...reset_counters() zeroes them
-  EXPECT_EQ(store.dropped(), 0u);
-  EXPECT_EQ(store.peak_size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -976,8 +957,9 @@ TEST(Tsdb, RangeQueryReproducesBillingWithinQuantizationTolerance) {
                 tolerance)
         << id;
     // Store-backed billing sees the same totals.
+    const QueryEngine engine{db, QueryEngineOptions{1}};
     core::BillingService backed{"wan-1", core::Tariff{}};
-    backed.bind_store(&db);
+    backed.bind_engine(&engine);
     backed.mark_billable(id);
     const auto backed_invoice = backed.invoice_for(id);
     EXPECT_NEAR(backed_invoice.total_energy_mwh,
@@ -1021,8 +1003,9 @@ TEST(Tsdb, NetworkBreakdownHonorsFromBound) {
   EXPECT_EQ(got_records, want_records);
   EXPECT_NEAR(got_energy, want_energy, 1e-9);
   // Store-backed billing applies the bound through mark_billable.
+  const QueryEngine engine{db, QueryEngineOptions{1}};
   core::BillingService billing{"wan-1", core::Tariff{}};
-  billing.bind_store(&db);
+  billing.bind_engine(&engine);
   billing.mark_billable("dev-1", cut);
   EXPECT_NEAR(billing.invoice_for("dev-1").total_energy_mwh, got_energy,
               1e-9);
