@@ -286,12 +286,7 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
     // window reads it back as a store query (live records only — buffered
     // ones describe past windows and would double-count).
     tsdb_.ingest(record);
-    if (trace_ != nullptr) {
-      trace_->append("reported." + id_ + "." + record.device_id,
-                     sim::SimTime{record.timestamp_ns}, record.current_ma);
-      trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
-                     record.current_ma);
-    }
+    trace_record(member, record);
     if (member.kind == MembershipKind::kHome) {
       queue_for_chain(record);
     }
@@ -395,6 +390,30 @@ void Aggregator::refresh_stage_saturation() {
   rollup_pump_busy_ppm_.set(busy_ppm(pump_stage_ns_.summary().sum));
 }
 
+void Aggregator::trace_record(MemberEntry& member,
+                              const ConsumptionRecord& record) {
+  if (trace_ == nullptr) {
+    return;
+  }
+  const sim::SimTime reported{record.timestamp_ns};
+  if (record.device_id != member.device_id) {
+    // A record naming another device: its series are not the member's.
+    trace_->append("reported." + id_ + "." + record.device_id, reported,
+                   record.current_ma);
+    trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
+                   record.current_ma);
+    return;
+  }
+  if (!member.reported_series) {
+    member.reported_series =
+        trace_->series_ref("reported." + id_ + "." + member.device_id);
+    member.arrival_series =
+        trace_->series_ref("arrival." + id_ + "." + member.device_id);
+  }
+  trace_->append(member.reported_series, reported, record.current_ma);
+  trace_->append(member.arrival_series, kernel_.now(), record.current_ma);
+}
+
 void Aggregator::queue_for_chain(const ConsumptionRecord& record) {
   pending_records_.push_back(serialize_record(record));
 }
@@ -440,13 +459,7 @@ void Aggregator::handle_backhaul(const net::Frame& frame) {
                 continue;  // duplicate forward — already on the books
               }
               queue_for_chain(record);
-              if (trace_ != nullptr) {
-                trace_->append("reported." + id_ + "." + record.device_id,
-                               sim::SimTime{record.timestamp_ns},
-                               record.current_ma);
-                trace_->append("arrival." + id_ + "." + record.device_id,
-                               kernel_.now(), record.current_ma);
-              }
+              trace_record(*member, record);
             }
             subscriptions_.pump();
           },

@@ -194,6 +194,7 @@ void DeviceApp::adopt(sim::Kernel& kernel, net::WifiMedium& medium,
   mqtt_.rebind_kernel(kernel);
   wifi_.attach_medium(medium);
   trace_ = trace;
+  current_series_ = {};  // a handle belongs to the old shard's Trace
   if (trace_ != nullptr) {
     mqtt_.bind_trace(trace_, "wire.device." + id_);
   }
@@ -266,9 +267,17 @@ void DeviceApp::on_associated(bool ok) {
     if (epoch != plug_epoch_ || state_ != DeviceState::kAcquiring) {
       return;
     }
-    net::MqttBroker* broker = brokers_(wifi_.connected_host());
+    const std::string& host = wifi_.connected_host();
+    if (host.empty()) {
+      // The link dropped during the dwell (AP outage, roaming): a failed
+      // association, not a configuration fault.
+      log_.info("association lost during link settle; reacquiring");
+      retry_acquisition(sim::seconds(1));
+      return;
+    }
+    net::MqttBroker* broker = brokers_(host);
     if (broker == nullptr) {
-      log_.error("no broker for host '", wifi_.connected_host(), "'");
+      log_.error("no broker for host '", host, "'");
       retry_acquisition(sim::seconds(1));
       return;
     }
@@ -457,7 +466,10 @@ void DeviceApp::on_sample_tick() {
   record.membership = membership_;
 
   if (trace_ != nullptr) {
-    trace_->append("device." + id_ + ".current_ma", sample->taken_at,
+    if (!current_series_) {
+      current_series_ = trace_->series_ref("device." + id_ + ".current_ma");
+    }
+    trace_->append(current_series_, sample->taken_at,
                    util::as_milliamps(sample->current));
   }
 

@@ -191,6 +191,8 @@ class DeviceApp {
   GridResolver grids_;
   BrokerResolver brokers_;
   sim::Trace* trace_;
+  /// `device.<id>.current_ma` in trace_, resolved on the first sample.
+  sim::Trace::SeriesRef current_series_;
   util::Logger log_;
   util::Rng rng_;
 

@@ -5,25 +5,29 @@ namespace emon::core {
 std::optional<MemberEntry*> MembershipTable::add_home(const DeviceId& id,
                                                       std::size_t slot,
                                                       sim::SimTime now) {
-  const auto [it, inserted] = members_.emplace(
-      id, MemberEntry{id, MembershipKind::kHome, "", slot, now, "", {}, 0});
-  if (!inserted) {
-    return std::nullopt;
-  }
-  return &it->second;
+  return add(id, MembershipKind::kHome, "", slot, now);
 }
 
 std::optional<MemberEntry*> MembershipTable::add_temporary(
     const DeviceId& id, const std::string& master_addr, std::size_t slot,
     sim::SimTime now) {
-  const auto [it, inserted] = members_.emplace(
-      id,
-      MemberEntry{id, MembershipKind::kTemporary, master_addr, slot, now, "",
-                  {}, 0});
+  return add(id, MembershipKind::kTemporary, master_addr, slot, now);
+}
+
+std::optional<MemberEntry*> MembershipTable::add(
+    const DeviceId& id, MembershipKind kind, const std::string& master_addr,
+    std::size_t slot, sim::SimTime now) {
+  const auto [it, inserted] = members_.try_emplace(id);
   if (!inserted) {
     return std::nullopt;
   }
-  return &it->second;
+  MemberEntry& entry = it->second;
+  entry.device_id = id;
+  entry.kind = kind;
+  entry.master_addr = master_addr;
+  entry.slot = slot;
+  entry.last_seen = now;
+  return &entry;
 }
 
 std::optional<MemberEntry> MembershipTable::remove(const DeviceId& id) {

@@ -17,6 +17,7 @@
 
 #include "core/records.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 
 namespace emon::core {
 
@@ -37,6 +38,10 @@ struct MemberEntry {
   std::set<std::uint64_t> seen_sequences;
   /// Highest record sequence accepted (reported back in Acks).
   std::uint64_t last_sequence = 0;
+  /// The member's `reported.<agg>.<id>` and `arrival.<agg>.<id>` series in
+  /// its aggregator's trace, resolved on the first accepted record.
+  sim::Trace::SeriesRef reported_series;
+  sim::Trace::SeriesRef arrival_series;
 };
 
 class MembershipTable {
@@ -66,6 +71,10 @@ class MembershipTable {
       sim::SimTime cutoff) const;
 
  private:
+  std::optional<MemberEntry*> add(const DeviceId& id, MembershipKind kind,
+                                  const std::string& master_addr,
+                                  std::size_t slot, sim::SimTime now);
+
   std::map<DeviceId, MemberEntry> members_;
 };
 

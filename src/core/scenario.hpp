@@ -84,6 +84,11 @@ class Testbed {
   /// the per-shard traces (rebuilt lazily after each run_for); treat it as
   /// read-only.
   [[nodiscard]] sim::Trace& trace();
+  /// The trace shard `s`'s components append to (the run's trace when
+  /// shards == 1).
+  [[nodiscard]] const sim::Trace& shard_trace(std::size_t s) const {
+    return *traces_.at(s);
+  }
   [[nodiscard]] const util::SeedSequence& seeds() const noexcept {
     return seeds_;
   }

@@ -18,11 +18,8 @@
 #include <vector>
 
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 #include "util/thread_annotations.hpp"
-
-namespace emon::sim {
-class Trace;
-}  // namespace emon::sim
 
 namespace emon::net {
 
@@ -88,7 +85,8 @@ class Transport {
   }
 
   /// Mirrors tx/rx frame sizes into `<prefix>.tx_bytes` / `<prefix>.rx_bytes`
-  /// trace series so wire overhead lands next to the latency data.
+  /// trace series so wire overhead lands next to the latency data.  Each
+  /// series is resolved on its first frame; rebinding resets both.
   void bind_trace(sim::Trace* trace, std::string series_prefix);
 
  protected:
@@ -109,6 +107,8 @@ class Transport {
   TransportStats tstats_;
   sim::Trace* trace_ = nullptr;
   std::string trace_prefix_;
+  sim::Trace::SeriesRef tx_series_;
+  sim::Trace::SeriesRef rx_series_;
 };
 
 }  // namespace emon::net

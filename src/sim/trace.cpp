@@ -1,26 +1,39 @@
 #include "sim/trace.hpp"
 
+#include <atomic>
 #include <bit>
 #include <stdexcept>
 
 namespace emon::sim {
 
-void Trace::append(std::string_view series, SimTime t, double value) {
+namespace {
+/// Process-wide source of handle epochs (never 0, the null handle's).
+std::uint64_t next_epoch() noexcept {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace
+
+Trace::Trace() : handle_epoch_(next_epoch()) {}
+
+Trace::SeriesRef Trace::series_ref(std::string_view series) {
   auto it = series_.find(series);
   if (it == series_.end()) {
     it = series_.emplace(std::string(series), std::vector<TracePoint>{}).first;
   }
-  it->second.push_back(TracePoint{t, value});
-  ++points_;
+  return SeriesRef{&it->second, handle_epoch_};
+}
+
+void Trace::throw_stale_handle() {
+  throw std::logic_error(
+      "Trace::SeriesRef used on a Trace that did not issue it, or after "
+      "clear()");
 }
 
 void Trace::append_points(std::string_view series,
                           const std::vector<TracePoint>& points) {
-  auto it = series_.find(series);
-  if (it == series_.end()) {
-    it = series_.emplace(std::string(series), std::vector<TracePoint>{}).first;
-  }
-  it->second.insert(it->second.end(), points.begin(), points.end());
+  std::vector<TracePoint>& dest = *series_ref(series).points_;
+  dest.insert(dest.end(), points.begin(), points.end());
   points_ += points.size();
 }
 
@@ -131,6 +144,7 @@ std::uint64_t Trace::digest() const noexcept {
 void Trace::clear() noexcept {
   series_.clear();
   points_ = 0;
+  handle_epoch_ = next_epoch();
 }
 
 }  // namespace emon::sim

@@ -4,6 +4,26 @@
 // The repository's stand-in for the paper's Grafana dashboards: components
 // append (time, series, value) points; benches dump series as CSV or bin
 // them for ASCII charts (Figures 5 and 6).
+//
+// Series handles.  Appending by name builds the name and walks a map of
+// every series (60 k of them at fleet scale, with long shared prefixes).
+// Per-record writers instead keep a `SeriesRef` and append through it: one
+// push_back, no lookup.  The contract:
+//
+//   - Resolve on first append, never earlier.  A handle names a series, and
+//     `series_ref()` creates the series if it is missing; resolving at
+//     construction or bind time would create empty series, which show in
+//     `series_names()` and `digest()`.  Callers keep a default (null)
+//     handle and resolve it just before its first append.
+//   - A handle belongs to the one Trace that issued it, and stays valid
+//     until that Trace's `clear()` (series nodes never move before then,
+//     however many other series are created).  Rebinding a writer to
+//     another Trace (bind_trace(), DeviceApp::adopt()) resets its handles.
+//   - `clear()` invalidates every outstanding handle.  Appending through a
+//     stale handle, or through one another Trace issued, throws
+//     std::logic_error; appending through a null handle does too.
+//   - Handle and by-name appends to a series are interchangeable: a trace
+//     built through handles equals the by-name trace point for point.
 
 #include <cstdint>
 #include <map>
@@ -24,7 +44,41 @@ struct TracePoint {
 /// Named time-series store.  Series are created on first append.
 class Trace {
  public:
-  void append(std::string_view series, SimTime t, double value);
+  /// Opaque handle to one series of one Trace (see the contract above).
+  /// Default-constructed handles are null: resolve them with series_ref().
+  class SeriesRef {
+   public:
+    SeriesRef() = default;
+    explicit operator bool() const noexcept { return points_ != nullptr; }
+
+   private:
+    friend class Trace;
+    SeriesRef(std::vector<TracePoint>* points, std::uint64_t epoch) noexcept
+        : points_(points), handle_epoch_(epoch) {}
+    std::vector<TracePoint>* points_ = nullptr;
+    std::uint64_t handle_epoch_ = 0;
+  };
+
+  Trace();
+  // Handles point into this object's series; a copy or move would leave
+  // them naming the wrong Trace.
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
+
+  /// The handle of `series`, creating the series (empty) if it is missing.
+  [[nodiscard]] SeriesRef series_ref(std::string_view series);
+
+  /// Appends through a handle this Trace issued since its last clear().
+  void append(SeriesRef series, SimTime t, double value) {
+    if (series.handle_epoch_ != handle_epoch_) {
+      throw_stale_handle();
+    }
+    series.points_->push_back(TracePoint{t, value});
+    ++points_;
+  }
+  void append(std::string_view series, SimTime t, double value) {
+    append(series_ref(series), t, value);
+  }
 
   /// Bulk append preserving order — the per-shard trace merge path.
   void append_points(std::string_view series,
@@ -61,11 +115,17 @@ class Trace {
   /// style shared with the obs metrics exporters (BENCH_obs.json).
   void write_json(std::ostream& out) const;
 
+  /// Drops every series and invalidates every outstanding handle.
   void clear() noexcept;
 
  private:
+  [[noreturn]] static void throw_stale_handle();
+
   std::map<std::string, std::vector<TracePoint>, std::less<>> series_;
   std::size_t points_ = 0;
+  /// Issuer stamp of this Trace's handles: unique per Trace and per
+  /// clear(), so a stale or foreign handle never matches.
+  std::uint64_t handle_epoch_;
 };
 
 }  // namespace emon::sim

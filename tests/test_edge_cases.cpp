@@ -3,12 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "core/protocol.hpp"
 #include "core/records.hpp"
 #include "core/scenario.hpp"
 #include "net/mqtt.hpp"
 #include "store/series_store.hpp"
 #include "util/bytes.hpp"
+#include "util/log.hpp"
 
 namespace emon::core {
 namespace {
@@ -50,6 +56,44 @@ TEST(Lifecycle, UnplugDuringSettleIsClean) {
   bed.device(0).plug_into("wan-1");
   bed.run_for(seconds(10));
   EXPECT_EQ(bed.device(0).state(), DeviceState::kReporting);
+}
+
+TEST(Lifecycle, ApLostDuringSettleRetriesWithoutError) {
+  // The AP goes dark after the association completed but before the
+  // link-settle dwell ends, so the dwell ends with no association.  That
+  // is an expected race, retried like a failed association: no error line.
+  std::vector<std::string> errors;
+  const util::LogLevel saved_level = util::LogConfig::level();
+  util::LogConfig::set_level(util::LogLevel::kInfo);
+  util::LogConfig::set_sink([&errors](util::LogLevel level,
+                                      std::string_view component,
+                                      std::string_view message) {
+    if (level >= util::LogLevel::kError) {
+      errors.push_back(std::string(component) + ": " + std::string(message));
+    }
+  });
+  Testbed bed{small_params(7)};
+  bed.start();
+  auto& dev = bed.device(0);
+  // Step until the station is associated: the settle dwell is running.
+  for (int i = 0; i < 1000 && dev.wifi().state() != net::WifiState::kConnected;
+       ++i) {
+    bed.run_for(milliseconds(10));
+  }
+  ASSERT_EQ(dev.wifi().state(), net::WifiState::kConnected);
+  ASSERT_EQ(dev.state(), DeviceState::kAcquiring);
+  const std::string ssid = dev.wifi().connected_ssid();
+  const std::optional<net::AccessPoint> ap = bed.medium().find(ssid);
+  ASSERT_TRUE(ap.has_value());
+  ASSERT_TRUE(bed.medium().remove_access_point(ssid));
+  bed.run_for(seconds(2));  // the dwell (1.0-1.4 s) ends inside the outage
+  EXPECT_EQ(dev.state(), DeviceState::kAcquiring);
+  bed.medium().add_access_point(*ap);
+  bed.run_for(seconds(15));
+  util::LogConfig::set_sink(nullptr);
+  util::LogConfig::set_level(saved_level);
+  EXPECT_TRUE(errors.empty()) << errors.front();
+  EXPECT_EQ(dev.state(), DeviceState::kReporting);
 }
 
 TEST(Lifecycle, MoveSupersedesMove) {

@@ -214,6 +214,67 @@ TEST(ShardMigration, RoamersReportFromForeignShards) {
       << "at least one roamer must report from a foreign shard";
 }
 
+TEST(ShardMigration, RoamerSeriesLandInTheAdoptingShardsTrace) {
+  // adopt() moves a device onto the destination shard's Trace; its cached
+  // series handles must move with it, so everything it and its new
+  // aggregator record after arrival lands in that shard's trace only.
+  Testbed bed{partitioned_isolated(11), TestbedOptions{4}};
+  bed.start();
+  bed.run_for(seconds(40));
+  const auto points_since = [](const sim::Trace& trace,
+                               const std::string& name, sim::SimTime since) {
+    std::size_t n = 0;
+    if (trace.has(name)) {
+      for (const sim::TracePoint& p : trace.series(name)) {
+        n += p.time >= since ? 1 : 0;
+      }
+    }
+    return n;
+  };
+  std::size_t roamers = 0;
+  for (std::size_t i = 0; i < bed.device_count(); ++i) {
+    const DeviceApp& dev = bed.device(i);
+    if (dev.state() != DeviceState::kReporting) {
+      continue;
+    }
+    std::size_t net = 0;
+    while (bed.network_name(net) != dev.plugged_network()) {
+      ++net;
+    }
+    const std::size_t here = bed.shard_of_network(net);
+    if (here == bed.shard_of_network(bed.home_of(i))) {
+      continue;
+    }
+    ++roamers;
+    // The device was adopted before its last handshake here began.
+    ASSERT_FALSE(dev.handshakes().empty());
+    ASSERT_EQ(dev.handshakes().back().network, dev.plugged_network());
+    const sim::SimTime arrived = dev.handshakes().back().plugged_at;
+    const std::string id = dev.id();
+    for (const std::string& name :
+         {"device." + id + ".current_ma", "wire.device." + id + ".tx_bytes",
+          "wire.device." + id + ".rx_bytes"}) {
+      EXPECT_GT(points_since(bed.shard_trace(here), name, arrived), 0u)
+          << name;
+      for (std::size_t s = 0; s < bed.shard_count(); ++s) {
+        if (s != here) {
+          EXPECT_EQ(points_since(bed.shard_trace(s), name, arrived), 0u)
+              << name << " on shard " << s;
+        }
+      }
+    }
+    const std::string reported =
+        "reported." + bed.aggregator(net).id() + "." + id;
+    EXPECT_FALSE(bed.shard_trace(here).series(reported).empty()) << reported;
+    for (std::size_t s = 0; s < bed.shard_count(); ++s) {
+      EXPECT_TRUE(s == here || !bed.shard_trace(s).has(reported))
+          << reported << " on shard " << s;
+    }
+  }
+  EXPECT_GT(roamers, 0u) << "the scenario must leave a roamer on a foreign "
+                            "shard";
+}
+
 // ---------------------------------------------------------------------------
 // Determinism of the sharded mode itself (same-mode repeatability)
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -751,6 +752,118 @@ TEST(Trace, ClearResets) {
   trace.clear();
   EXPECT_EQ(trace.total_points(), 0u);
   EXPECT_FALSE(trace.has("a"));
+}
+
+std::string csv_of(const Trace& trace) {
+  std::ostringstream out;
+  trace.write_csv(out);
+  return out.str();
+}
+
+void expect_same_trace(const Trace& a, const Trace& b) {
+  EXPECT_EQ(a.series_names(), b.series_names());
+  EXPECT_EQ(a.total_points(), b.total_points());
+  EXPECT_EQ(a.digest(), b.digest());
+  EXPECT_EQ(csv_of(a), csv_of(b));
+}
+
+TEST(TraceHandle, MixedHandleAndNameAppendsMatchByName) {
+  Trace by_name;
+  Trace mixed;
+  const Trace::SeriesRef x = mixed.series_ref("x");
+  for (int i = 0; i < 6; ++i) {
+    const SimTime t{i * 10};
+    by_name.append("x", t, i);
+    by_name.append("y", t, -i);
+    if (i % 2 == 0) {
+      mixed.append(x, t, i);
+    } else {
+      mixed.append("x", t, i);
+    }
+    mixed.append("y", t, -i);
+  }
+  expect_same_trace(mixed, by_name);
+  EXPECT_EQ(mixed.series("x").size(), 6u);
+}
+
+TEST(TraceHandle, InterningOrderDoesNotShowInNamesOrDigest) {
+  Trace by_name;
+  by_name.append("a", SimTime{1}, 1.0);
+  by_name.append("b", SimTime{2}, 2.0);
+  Trace interned;
+  const Trace::SeriesRef b = interned.series_ref("b");
+  const Trace::SeriesRef a = interned.series_ref("a");
+  interned.append(b, SimTime{2}, 2.0);
+  interned.append(a, SimTime{1}, 1.0);
+  expect_same_trace(interned, by_name);
+  EXPECT_EQ(interned.series_names(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(TraceHandle, ResolvingCreatesTheSeriesEmpty) {
+  // Why callers resolve on the first append: a resolved handle is a series.
+  Trace trace;
+  (void)trace.series_ref("idle");
+  EXPECT_TRUE(trace.has("idle"));
+  EXPECT_TRUE(trace.series("idle").empty());
+  EXPECT_EQ(trace.total_points(), 0u);
+  EXPECT_NE(trace.digest(), Trace{}.digest());
+}
+
+TEST(TraceHandle, StaysValidWhileOtherSeriesAreCreated) {
+  Trace trace;
+  Trace by_name;
+  const Trace::SeriesRef first = trace.series_ref("m.first");
+  for (int i = 0; i < 5000; ++i) {
+    const std::string name = "m.series." + std::to_string(i);
+    trace.append(name, SimTime{i}, i);
+    by_name.append(name, SimTime{i}, i);
+    if (i % 500 == 0) {
+      trace.append(first, SimTime{i}, -i);
+      by_name.append("m.first", SimTime{i}, -i);
+    }
+  }
+  expect_same_trace(trace, by_name);
+  EXPECT_EQ(trace.series("m.first").size(), 10u);
+}
+
+TEST(TraceHandle, AppendPointsOntoAHandleSeries) {
+  Trace trace;
+  const Trace::SeriesRef s = trace.series_ref("s");
+  trace.append(s, SimTime{1}, 1.0);
+  trace.append_points("s", {{SimTime{2}, 2.0}, {SimTime{3}, 3.0}});
+  trace.append(s, SimTime{4}, 4.0);
+  Trace by_name;
+  for (int i = 1; i <= 4; ++i) {
+    by_name.append("s", SimTime{i}, i);
+  }
+  expect_same_trace(trace, by_name);
+}
+
+TEST(TraceHandle, ClearInvalidatesOutstandingHandles) {
+  Trace trace;
+  const Trace::SeriesRef before = trace.series_ref("s");
+  trace.append(before, SimTime{1}, 1.0);
+  trace.clear();
+  EXPECT_THROW(trace.append(before, SimTime{2}, 2.0), std::logic_error);
+  EXPECT_EQ(trace.total_points(), 0u);
+  EXPECT_FALSE(trace.has("s"));
+  // A handle resolved after clear() works.
+  const Trace::SeriesRef after = trace.series_ref("s");
+  trace.append(after, SimTime{3}, 3.0);
+  EXPECT_EQ(trace.series("s").size(), 1u);
+}
+
+TEST(TraceHandle, ForeignAndNullHandlesAreRejected) {
+  Trace owner;
+  Trace other;
+  const Trace::SeriesRef foreign = owner.series_ref("s");
+  EXPECT_THROW(other.append(foreign, SimTime{1}, 1.0), std::logic_error);
+  EXPECT_THROW(other.append(Trace::SeriesRef{}, SimTime{1}, 1.0),
+               std::logic_error);
+  EXPECT_FALSE(Trace::SeriesRef{});
+  EXPECT_TRUE(foreign);
+  EXPECT_EQ(other.total_points(), 0u);
+  EXPECT_TRUE(owner.series("s").empty());
 }
 
 }  // namespace
