@@ -263,7 +263,7 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
 
   std::vector<ConsumptionRecord> fresh;
   for (const auto& record : report.records) {
-    if (!member.seen_sequences.insert(record.sequence).second) {
+    if (!member.seen_sequences.admit(record.sequence)) {
       continue;  // duplicate (retransmission, or probe/backlog overlap)
     }
     member.last_sequence = std::max(member.last_sequence, record.sequence);
@@ -285,7 +285,7 @@ void Aggregator::accept_records(MemberEntry& member, const Report& report) {
     // Every accepted record becomes queryable history; the verification
     // window reads it back as a store query (live records only — buffered
     // ones describe past windows and would double-count).
-    tsdb_.ingest(record);
+    ingest_record(member, record);
     trace_record(member, record);
     if (member.kind == MembershipKind::kHome) {
       queue_for_chain(record);
@@ -412,6 +412,19 @@ void Aggregator::trace_record(MemberEntry& member,
   }
   trace_->append(member.reported_series, reported, record.current_ma);
   trace_->append(member.arrival_series, kernel_.now(), record.current_ma);
+}
+
+void Aggregator::ingest_record(MemberEntry& member,
+                               const ConsumptionRecord& record) {
+  if (record.device_id != member.device_id) {
+    // A record naming another device belongs to that device's series.
+    tsdb_.ingest(record);
+    return;
+  }
+  if (!member.tsdb_writer) {
+    member.tsdb_writer = tsdb_.writer(member.device_id);
+  }
+  tsdb_.ingest(member.tsdb_writer, record);
 }
 
 void Aggregator::queue_for_chain(const ConsumptionRecord& record) {

@@ -196,6 +196,10 @@ class Aggregator {
   void sync_replica(chain::Block block) EMON_OWNER_THREAD_CONTEXT;
   void accept_records(MemberEntry& member, const Report& report)
       EMON_OWNER_THREAD_CONTEXT;
+  /// Ingests an accepted record into tsdb_, through the member's cached
+  /// writer handle.
+  void ingest_record(MemberEntry& member, const ConsumptionRecord& record)
+      EMON_OWNER_THREAD_CONTEXT;
   /// Appends an accepted record to the `reported.*` and `arrival.*` trace
   /// series, through the member's cached handles.
   void trace_record(MemberEntry& member, const ConsumptionRecord& record)

@@ -48,16 +48,12 @@ DeviceApp::DeviceApp(sim::Kernel& kernel, DeviceId id,
         sensor_ = std::make_unique<hw::Ina219>(
             0x40, hw::Ina219Params{},
             [this]() -> hw::OperatingPoint {
-              if (plugged_network_.empty()) {
+              if (plugged_grid_ == nullptr) {
                 return hw::OperatingPoint{util::Amperes{0.0},
                                           util::Volts{0.0}};
               }
-              grid::DistributionNetwork* net = grids_(plugged_network_);
-              if (net == nullptr) {
-                return hw::OperatingPoint{util::Amperes{0.0},
-                                          util::Volts{0.0}};
-              }
-              return net->device_operating_point(id_, kernel_->now());
+              return plugged_grid_->device_operating_point(socket_,
+                                                           kernel_->now());
             },
             seeds.stream("ina219.device." + id_));
         sensor_->calibrate_for(util::amps(kDeviceMaxExpectedAmps));
@@ -133,6 +129,8 @@ void DeviceApp::plug_into(const NetworkId& network) {
   handshake_started_ = kernel_->now();
   soc_.set_mode(hw::Esp32PowerMode::kActive);
   grid_net->plug(id_, [this](sim::SimTime t) { return soc_.current_demand(t); });
+  plugged_grid_ = grid_net;
+  socket_ = grid_net->socket(id_);
 
   // The measurement loop runs from the instant power is present —
   // consumption during the handshake goes to local storage (Figure 6).
@@ -150,9 +148,11 @@ void DeviceApp::unplug() {
     return;
   }
   ++plug_epoch_;
-  if (grid::DistributionNetwork* grid_net = grids_(plugged_network_)) {
-    grid_net->unplug(id_);
+  if (plugged_grid_ != nullptr) {
+    plugged_grid_->unplug(id_);
   }
+  plugged_grid_ = nullptr;
+  socket_ = {};
   sample_timer_.reset();
   mqtt_.drop();
   wifi_.disconnect();

@@ -218,6 +218,10 @@ class DeviceApp {
   // Application state.
   DeviceState state_ = DeviceState::kUnplugged;
   NetworkId plugged_network_;
+  /// The grid and socket plugged into, resolved once per plug (null while
+  /// unplugged) — the INA219 probe reads through them on every sample.
+  grid::DistributionNetwork* plugged_grid_ = nullptr;
+  grid::DistributionNetwork::Socket socket_;
   std::string master_addr_;       // home aggregator address (empty = none)
   std::string reporting_addr_;    // aggregator currently reported to
   MembershipKind membership_ = MembershipKind::kHome;

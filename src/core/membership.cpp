@@ -1,5 +1,7 @@
 #include "core/membership.hpp"
 
+#include <algorithm>
+
 namespace emon::core {
 
 std::optional<MemberEntry*> MembershipTable::add_home(const DeviceId& id,
@@ -17,7 +19,7 @@ std::optional<MemberEntry*> MembershipTable::add_temporary(
 std::optional<MemberEntry*> MembershipTable::add(
     const DeviceId& id, MembershipKind kind, const std::string& master_addr,
     std::size_t slot, sim::SimTime now) {
-  const auto [it, inserted] = members_.try_emplace(id);
+  const auto [it, inserted] = by_device_.try_emplace(id);
   if (!inserted) {
     return std::nullopt;
   }
@@ -31,50 +33,52 @@ std::optional<MemberEntry*> MembershipTable::add(
 }
 
 std::optional<MemberEntry> MembershipTable::remove(const DeviceId& id) {
-  const auto it = members_.find(id);
-  if (it == members_.end()) {
+  const auto it = by_device_.find(id);
+  if (it == by_device_.end()) {
     return std::nullopt;
   }
   MemberEntry entry = std::move(it->second);
-  members_.erase(it);
+  by_device_.erase(it);
   return entry;
 }
 
 const MemberEntry* MembershipTable::find(const DeviceId& id) const {
-  const auto it = members_.find(id);
-  return it == members_.end() ? nullptr : &it->second;
+  const auto it = by_device_.find(id);
+  return it == by_device_.end() ? nullptr : &it->second;
 }
 
 MemberEntry* MembershipTable::find(const DeviceId& id) {
-  const auto it = members_.find(id);
-  return it == members_.end() ? nullptr : &it->second;
+  const auto it = by_device_.find(id);
+  return it == by_device_.end() ? nullptr : &it->second;
 }
 
 std::vector<const MemberEntry*> MembershipTable::all() const {
   std::vector<const MemberEntry*> out;
-  out.reserve(members_.size());
-  for (const auto& [_, entry] : members_) {
+  out.reserve(by_device_.size());
+  for (const auto& [_, entry] : by_device_) {
     out.push_back(&entry);
   }
+  std::sort(out.begin(), out.end(),
+            [](const MemberEntry* a, const MemberEntry* b) {
+              return a->device_id < b->device_id;
+            });
   return out;
 }
 
 std::vector<const MemberEntry*> MembershipTable::temporaries() const {
-  std::vector<const MemberEntry*> out;
-  for (const auto& [_, entry] : members_) {
-    if (entry.kind == MembershipKind::kTemporary) {
-      out.push_back(&entry);
-    }
-  }
+  std::vector<const MemberEntry*> out = all();
+  std::erase_if(out, [](const MemberEntry* entry) {
+    return entry->kind != MembershipKind::kTemporary;
+  });
   return out;
 }
 
 std::vector<DeviceId> MembershipTable::stale_temporaries(
     sim::SimTime cutoff) const {
   std::vector<DeviceId> out;
-  for (const auto& [id, entry] : members_) {
-    if (entry.kind == MembershipKind::kTemporary && entry.last_seen < cutoff) {
-      out.push_back(id);
+  for (const MemberEntry* entry : temporaries()) {
+    if (entry->last_seen < cutoff) {
+      out.push_back(entry->device_id);
     }
   }
   return out;

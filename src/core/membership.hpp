@@ -9,15 +9,17 @@
 // membership of the device at all times", §II-C).
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/records.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+#include "store/sequence_dedup.hpp"
+#include "store/tsdb.hpp"
+#include "util/contracts.hpp"
 
 namespace emon::core {
 
@@ -34,14 +36,17 @@ struct MemberEntry {
   /// (empty when at home).
   std::string roaming_host;
   /// Record sequences already accepted (duplicate suppression across
-  /// QoS-1 retransmissions and probe/backlog overlaps).
-  std::set<std::uint64_t> seen_sequences;
+  /// QoS-1 retransmissions and probe/backlog overlaps), over the shared
+  /// bounded window of store/sequence_dedup.hpp.
+  store::SequenceDedup seen_sequences;
   /// Highest record sequence accepted (reported back in Acks).
   std::uint64_t last_sequence = 0;
   /// The member's `reported.<agg>.<id>` and `arrival.<agg>.<id>` series in
-  /// its aggregator's trace, resolved on the first accepted record.
+  /// its aggregator's trace and its series in the aggregator's Tsdb, all
+  /// resolved on the first accepted record.
   sim::Trace::SeriesRef reported_series;
   sim::Trace::SeriesRef arrival_series;
+  store::Tsdb::Writer tsdb_writer;
 };
 
 class MembershipTable {
@@ -62,11 +67,16 @@ class MembershipTable {
   [[nodiscard]] MemberEntry* find(const DeviceId& id);
   [[nodiscard]] bool has(const DeviceId& id) const { return find(id) != nullptr; }
 
-  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
-  [[nodiscard]] std::vector<const MemberEntry*> all() const;
+  [[nodiscard]] std::size_t size() const noexcept { return by_device_.size(); }
+  /// Every member, in device-id order.  EMON_ORDER_INSENSITIVE: it walks
+  /// the hashed table but sorts what it collected before returning.
+  [[nodiscard]] std::vector<const MemberEntry*> all() const
+      EMON_ORDER_INSENSITIVE;
+  /// Temporary members, in device-id order.
   [[nodiscard]] std::vector<const MemberEntry*> temporaries() const;
 
-  /// Temporary members with last_seen older than `cutoff` (expiry sweep).
+  /// Temporary members with last_seen older than `cutoff` (expiry sweep),
+  /// in device-id order.
   [[nodiscard]] std::vector<DeviceId> stale_temporaries(
       sim::SimTime cutoff) const;
 
@@ -75,7 +85,10 @@ class MembershipTable {
                                   const std::string& master_addr,
                                   std::size_t slot, sim::SimTime now);
 
-  std::map<DeviceId, MemberEntry> members_;
+  /// Hashed: one lookup per report.  Nodes are address-stable, so a
+  /// MemberEntry* stays valid until its member is removed; the listing
+  /// accessors above sort, so hash order never escapes.
+  std::unordered_map<DeviceId, MemberEntry> by_device_;
 };
 
 }  // namespace emon::core

@@ -92,16 +92,26 @@ util::Volts DistributionNetwork::board_voltage_at(sim::SimTime t) const {
   return solve_feeder(t).second;
 }
 
+DistributionNetwork::Socket DistributionNetwork::socket(
+    const std::string& device_id) const {
+  const auto it = sockets_.find(device_id);
+  return it == sockets_.end() ? Socket{} : Socket{&it->second};
+}
+
 hw::OperatingPoint DistributionNetwork::device_operating_point(
     const std::string& device_id, sim::SimTime t) const {
-  const auto it = sockets_.find(device_id);
-  if (it == sockets_.end()) {
+  return device_operating_point(socket(device_id), t);
+}
+
+hw::OperatingPoint DistributionNetwork::device_operating_point(
+    Socket socket, sim::SimTime t) const {
+  if (!socket) {
     // Unplugged: the sensor travels with the device and sees a dead bus.
     return hw::OperatingPoint{util::Amperes{0.0}, util::Volts{0.0}};
   }
   // O(1) per query: only this device's demand is evaluated; the shared
   // board voltage comes from the (possibly cached) feeder solve.
-  const util::Amperes draw = it->second(t);
+  const util::Amperes draw = (*socket.demand_)(t);
   const util::Volts board = board_voltage_at(t);
   return hw::OperatingPoint{draw,
                             board - draw * params_.line_resistance};

@@ -97,10 +97,30 @@ class DistributionNetwork {
   /// Solves the circuit at time `t`.
   [[nodiscard]] NetworkState solve(sim::SimTime t) const;
 
+  /// Handle to one plugged device's socket: resolve it once per plug with
+  /// socket(), then read the operating point without a by-id lookup.  Valid
+  /// until that device unplugs from this network; null (falsy) reads as
+  /// unplugged.
+  class Socket {
+   public:
+    Socket() = default;
+    explicit operator bool() const noexcept { return demand_ != nullptr; }
+
+   private:
+    friend class DistributionNetwork;
+    explicit Socket(const DemandFn* demand) noexcept : demand_(demand) {}
+    const DemandFn* demand_ = nullptr;
+  };
+
+  /// The socket `device_id` is plugged into here (null if it is not).
+  [[nodiscard]] Socket socket(const std::string& device_id) const;
+
   /// True device-side operating point (current through its line, voltage
   /// at its input).  Zero if not plugged.
   [[nodiscard]] hw::OperatingPoint device_operating_point(
       const std::string& device_id, sim::SimTime t) const;
+  [[nodiscard]] hw::OperatingPoint device_operating_point(
+      Socket socket, sim::SimTime t) const;
 
   /// True feeder-side operating point (what a centralized meter sees).
   [[nodiscard]] hw::OperatingPoint feeder_operating_point(sim::SimTime t) const;

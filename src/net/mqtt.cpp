@@ -81,18 +81,26 @@ bool MqttBroker::accept(const std::shared_ptr<MqttSession>& session) {
   if (!session || session->client_id.empty()) {
     return false;
   }
-  const auto it = sessions_.find(session->client_id);
-  if (it != sessions_.end() && !it->second.expired()) {
+  std::weak_ptr<MqttSession>& slot = sessions_[session->client_id];
+  if (const auto previous = slot.lock()) {
     // MQTT 3.1.1 would take over the old session; we evict it, matching the
     // reconnect-after-roam behaviour the device firmware relies on.
-    sessions_.erase(it);
+    previous->current = false;
   }
-  sessions_[session->client_id] = session;
+  slot = session;
+  session->current = true;
   return true;
 }
 
 void MqttBroker::evict(const std::string& client_id) {
-  sessions_.erase(client_id);
+  const auto it = sessions_.find(client_id);
+  if (it == sessions_.end()) {
+    return;
+  }
+  if (const auto session = it->second.lock()) {
+    session->current = false;
+  }
+  sessions_.erase(it);
 }
 
 std::size_t MqttBroker::live_sessions() const {
@@ -147,8 +155,7 @@ bool MqttBroker::deliver_to(const std::shared_ptr<MqttSession>& session,
   }
   // Only the live session for a client id receives (a stale index entry
   // from before an eviction/reconnect must stay silent).
-  const auto it = sessions_.find(session->client_id);
-  if (it == sessions_.end() || it->second.lock() != session) {
+  if (!session->current) {
     return false;
   }
   const std::uint64_t size = publish_wire_size(message);

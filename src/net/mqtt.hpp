@@ -67,6 +67,11 @@ struct MqttSession {
   /// Invoked on the client side when a PUBACK arrives.
   std::function<void(std::uint16_t packet_id)> on_puback;
   std::vector<std::string> filters;
+  /// True while this is the broker's live session for `client_id`: set by
+  /// accept(), cleared when a newer session for the same id replaces it
+  /// and by evict().  Downlink delivery checks it instead of looking the
+  /// client id up per message.
+  bool current = false;
 };
 
 /// The broker (one per aggregator host).  As a Transport, `send()`
@@ -147,7 +152,7 @@ class MqttBroker : public Transport {
                                       std::size_t recipients)
       EMON_OWNER_THREAD;
   /// Downlink delivery to one session if it is still the live session for
-  /// its client id.  Returns true if a send was scheduled; `coalesced`
+  /// its client id (its `current` flag).  Returns true if a send was scheduled; `coalesced`
   /// marks a copy riding an earlier recipient's wire frame.
   bool deliver_to(const std::shared_ptr<MqttSession>& session,
                   const MqttMessage& message, bool coalesced)

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "store/sequence_dedup.hpp"
+
 namespace emon::store {
 
 namespace {
-/// Sequences remembered per device for duplicate suppression.  At 10 Hz
-/// reporting this covers ~7 minutes of re-arrival horizon in O(1) memory.
-constexpr std::size_t kDedupWindow = 4096;
-
 /// Hard cap on windows a single downsample may materialize (~59 MB of
 /// WindowAggregate worst case).  Observed timestamps are unvalidated device
 /// RTC readings, so clamping the range to them is not enough: one corrupt
@@ -139,82 +137,6 @@ struct Tsdb::SeriesHandle {
 /// the vector itself is immutable — device creation publishes a successor.
 struct Tsdb::ShardIndex {
   std::vector<std::pair<const DeviceId*, const SeriesHandle*>> entries;
-};
-
-/// Bounded per-device sequence dedup as a sorted circular window.  The
-/// std::set it replaces allocated (and freed) one tree node per record in
-/// steady state — exactly what the EMON_HOT zero-allocation contract on
-/// ingest() forbids (tools/emon_lint.py checks the body statically,
-/// tests/test_hot_alloc.cpp counts operator new at runtime).  Membership
-/// and eviction semantics are identical to the old insert-then-prune set:
-/// the window remembers the largest kDedupWindow sequences seen, and a
-/// sequence below the window's floor is accepted but not remembered (every
-/// real duplicate source — QoS-1 retransmit, probe overlap, double
-/// roam-forward — re-arrives near the high-water mark).  The ring's
-/// capacity grows geometrically to kDedupWindow and then never again;
-/// arrivals are near-monotonic, so the common insert is an append at the
-/// back and eviction is a head advance — both O(1), no allocation.
-class SequenceDedup {
- public:
-  /// True when `seq` is first-seen inside the window (accept the record),
-  /// false for a duplicate.
-  EMON_HOT bool admit(std::uint64_t seq) {
-    // Binary search over the logical (sorted) window.
-    std::size_t lo = 0;
-    std::size_t hi = size_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (slot(mid) < seq) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < size_ && slot(lo) == seq) {
-      return false;
-    }
-    if (size_ == kDedupWindow) {
-      if (lo == 0) {
-        // Below the window floor while full: the old code inserted the
-        // sequence and immediately erased it as the smallest — net effect,
-        // accepted but not remembered.
-        return true;
-      }
-      begin_ = (begin_ + 1) & (slots_.size() - 1);
-      --size_;
-      --lo;
-    }
-    if (size_ + 1 > slots_.size()) {
-      grow();
-    }
-    for (std::size_t i = size_; i > lo; --i) {
-      slot(i) = slot(i - 1);
-    }
-    slot(lo) = seq;
-    ++size_;
-    return true;
-  }
-
- private:
-  [[nodiscard]] std::uint64_t& slot(std::size_t logical) noexcept {
-    return slots_[(begin_ + logical) & (slots_.size() - 1)];
-  }
-  /// Cold: doubles the ring (16 -> ... -> kDedupWindow, power of two) and
-  /// linearizes it; runs at most log2(kDedupWindow/16) + 1 times per
-  /// device, during warmup.
-  void grow() {
-    std::vector<std::uint64_t> bigger(
-        std::max<std::size_t>(16, slots_.size() * 2));
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = slot(i);
-    }
-    slots_ = std::move(bigger);
-    begin_ = 0;
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t begin_ = 0;
-  std::size_t size_ = 0;
 };
 
 /// Writer-only per-series state (map value).  Everything a reader needs
@@ -399,14 +321,24 @@ void Tsdb::init_series(Shard& shard, WriterSeries& w, const DeviceId& id) {
   epochs_.retire(old_index);
 }
 
-bool Tsdb::ingest(const ConsumptionRecord& record) {
-  const std::size_t shard_index = shard_of(record.device_id);
+Tsdb::Writer Tsdb::writer(const DeviceId& id) {
+  const std::size_t shard_index = shard_of(id);
   Shard& shard = shards_[shard_index];
-  auto [it, created] = shard.series.try_emplace(record.device_id);
-  WriterSeries& w = it->second;
+  auto [it, created] = shard.series.try_emplace(id);
   if (created) {
-    init_series(shard, w, record.device_id);  // cold: first-seen device
+    init_series(shard, it->second, id);  // cold: first-seen device
   }
+  return Writer{&it->second, shard_index};
+}
+
+bool Tsdb::ingest(const ConsumptionRecord& record) {
+  return ingest(writer(record.device_id), record);
+}
+
+bool Tsdb::ingest(Writer handle, const ConsumptionRecord& record) {
+  const std::size_t shard_index = handle.shard;
+  Shard& shard = shards_[shard_index];
+  WriterSeries& w = *handle.series;
   if (!w.dedup.admit(record.sequence)) {
     duplicates_dropped_.inc();
     return false;

@@ -230,12 +230,42 @@ class Tsdb {
     std::size_t shard = 0;
   };
 
-  /// Ingests one record; returns false for a per-device duplicate sequence.
-  /// Single-writer: one thread only.  EMON_HOT: the steady-state path (no
-  /// first-seen device, no chunk growth, no seal) performs zero heap
-  /// allocations per record — tools/emon_lint.py checks the body statically
-  /// and tests/test_hot_alloc.cpp counts operator new at runtime.
+  /// Ingest-thread handle to one device's writer state.  writer() resolves
+  /// it once (shard hash + series-map walk); ingest(Writer, record) then
+  /// skips both.  Valid for the store's lifetime — series are never erased
+  /// and their map nodes never move — and only on the Tsdb that issued it.
+  class Writer {
+   public:
+    Writer() = default;
+    [[nodiscard]] explicit operator bool() const noexcept {
+      return series != nullptr;
+    }
+
+   private:
+    friend class Tsdb;
+    Writer(WriterSeries* w, std::size_t shard_index)
+        : series(w), shard(shard_index) {}
+    WriterSeries* series = nullptr;
+    std::size_t shard = 0;
+  };
+
+  /// The writer handle of `id`, creating its (empty) series if missing.
+  /// Resolve it when the device's first record is about to be ingested: a
+  /// series created here is visible to readers (and takes the next hook
+  /// ordinal) from this call on.
+  [[nodiscard]] Writer writer(const DeviceId& id) EMON_OWNER_THREAD;
+
+  /// Ingests one record; returns false for a per-device duplicate sequence
+  /// (store/sequence_dedup.hpp states the window).  Single-writer: one
+  /// thread only.  EMON_HOT: the steady-state path (no first-seen device, no
+  /// chunk growth, no seal) performs zero heap allocations per record —
+  /// tools/emon_lint.py checks the body statically and
+  /// tests/test_hot_alloc.cpp counts operator new at runtime.
   bool ingest(const ConsumptionRecord& record) EMON_OWNER_THREAD EMON_HOT;
+  /// The same through a cached handle; `record.device_id` must be the
+  /// device `w` was resolved for.
+  bool ingest(Writer w, const ConsumptionRecord& record)
+      EMON_OWNER_THREAD EMON_HOT;
 
   [[nodiscard]] bool has_device(const DeviceId& id) const;
   [[nodiscard]] std::vector<DeviceId> devices() const;

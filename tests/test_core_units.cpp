@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "core/anomaly.hpp"
 #include "core/billing.hpp"
@@ -212,6 +217,68 @@ TEST(Membership, StaleTemporariesByCutoff) {
   const auto stale = table.stale_temporaries(SimTime{seconds(50).ns()});
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0], "t1");
+}
+
+TEST(Membership, ListingsAreInDeviceIdOrderWhateverTheInsertionOrder) {
+  std::vector<DeviceId> ids;
+  for (int i = 0; i < 200; ++i) {
+    ids.push_back("dev-" + std::to_string(i));
+  }
+  std::vector<DeviceId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<DeviceId> sorted_temporaries;
+  for (const DeviceId& id : sorted) {
+    if (id.back() % 2 == 1) {
+      sorted_temporaries.push_back(id);
+    }
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::vector<DeviceId> order = ids;
+    std::shuffle(order.begin(), order.end(), std::mt19937_64{seed});
+    MembershipTable table;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const DeviceId& id = order[i];
+      if (id.back() % 2 == 1) {
+        table.add_temporary(id, "m", i, SimTime{0});
+      } else {
+        table.add_home(id, i, SimTime{0});
+      }
+    }
+    std::vector<DeviceId> listed;
+    for (const MemberEntry* entry : table.all()) {
+      listed.push_back(entry->device_id);
+    }
+    EXPECT_EQ(listed, sorted) << "seed " << seed;
+    std::vector<DeviceId> temporaries;
+    for (const MemberEntry* entry : table.temporaries()) {
+      temporaries.push_back(entry->device_id);
+    }
+    EXPECT_EQ(temporaries, sorted_temporaries) << "seed " << seed;
+    EXPECT_EQ(table.stale_temporaries(SimTime{1}), sorted_temporaries)
+        << "seed " << seed;
+  }
+}
+
+TEST(Membership, EntryPointersSurviveLaterInserts) {
+  MembershipTable table;
+  MemberEntry* first = *table.add_home("dev-first", 0, SimTime{0});
+  for (int i = 0; i < 5'000; ++i) {
+    table.add_home("dev-" + std::to_string(i), 0, SimTime{0});
+  }
+  EXPECT_EQ(table.find("dev-first"), first);
+  EXPECT_EQ(first->device_id, "dev-first");
+}
+
+TEST(Membership, SeenSequencesIsTheStoreDuplicateFilter) {
+  // One filter class at the aggregator edge and in the Tsdb.
+  static_assert(std::is_same_v<decltype(MemberEntry::seen_sequences),
+                               store::SequenceDedup>);
+  MemberEntry entry;
+  for (std::uint64_t seq = 1; seq <= 10'000; ++seq) {
+    EXPECT_TRUE(entry.seen_sequences.admit(seq));
+  }
+  EXPECT_FALSE(entry.seen_sequences.admit(10'000));
+  EXPECT_EQ(entry.seen_sequences.size(), store::SequenceDedup::kWindow);
 }
 
 // ---------------------------------------------------------------------------

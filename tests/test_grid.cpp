@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "grid/distribution.hpp"
 #include "sim/kernel.hpp"
 
@@ -103,6 +105,28 @@ TEST(Grid, UnpluggedDeviceSeesDeadBus) {
   const auto point = net.device_operating_point("ghost", SimTime{0});
   EXPECT_DOUBLE_EQ(point.current.value(), 0.0);
   EXPECT_DOUBLE_EQ(point.bus_voltage.value(), 0.0);
+}
+
+TEST(Grid, SocketHandleReadsLikeTheByIdLookup) {
+  auto net = make_net();
+  EXPECT_FALSE(static_cast<bool>(net.socket("d1")));
+  net.plug("d1", constant_ma(123.0));
+  const DistributionNetwork::Socket socket = net.socket("d1");
+  ASSERT_TRUE(static_cast<bool>(socket));
+  // Other devices plugging in (map inserts) leave the handle valid.
+  for (int i = 0; i < 100; ++i) {
+    net.plug("other-" + std::to_string(i), constant_ma(10.0));
+  }
+  const auto by_id = net.device_operating_point("d1", SimTime{0});
+  const auto by_socket = net.device_operating_point(socket, SimTime{0});
+  EXPECT_EQ(by_socket.current.value(), by_id.current.value());
+  EXPECT_EQ(by_socket.bus_voltage.value(), by_id.bus_voltage.value());
+  EXPECT_NEAR(as_milliamps(by_socket.current), 123.0, 1e-9);
+  // A null handle reads as unplugged.
+  const auto dead = net.device_operating_point(DistributionNetwork::Socket{},
+                                               SimTime{0});
+  EXPECT_DOUBLE_EQ(dead.current.value(), 0.0);
+  EXPECT_DOUBLE_EQ(dead.bus_voltage.value(), 0.0);
 }
 
 TEST(Grid, ProbesTrackLiveState) {

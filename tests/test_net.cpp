@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "hw/ds3231.hpp"
 #include "net/backhaul.hpp"
@@ -541,6 +542,60 @@ TEST_F(MqttFixture, ResubscribeAfterReconnect) {
   broker.publish_from_host(MqttMessage{"emon/ctrl/dev-1", {1}, 0, ""});
   kernel.run();
   EXPECT_EQ(received, 2);
+}
+
+// Sessions driven straight through the broker API, so the test holds the
+// session objects itself (nothing expires them behind the broker's back).
+struct HeldSession {
+  std::shared_ptr<MqttSession> session;
+  int received = 0;
+};
+
+std::unique_ptr<HeldSession> hold_session(MqttFixture& f,
+                                          const std::string& client_id,
+                                          const std::string& filter) {
+  auto held = std::make_unique<HeldSession>();
+  held->session = std::make_shared<MqttSession>();
+  held->session->client_id = client_id;
+  std::tie(held->session->uplink, held->session->downlink) = f.channels();
+  HeldSession* raw = held.get();
+  held->session->on_message = [raw](const MqttMessage&) { ++raw->received; };
+  EXPECT_TRUE(f.broker.accept(held->session));
+  f.broker.handle_subscribe(held->session, filter);
+  return held;
+}
+
+TEST_F(MqttFixture, HeldSessionReceivesNothingAfterEvict) {
+  auto held = hold_session(*this, "dev-1", "emon/ctrl/dev-1");
+  broker.publish_from_host(MqttMessage{"emon/ctrl/dev-1", {1}, 0, ""});
+  kernel.run();
+  EXPECT_EQ(held->received, 1);
+  broker.evict("dev-1");
+  broker.publish_from_host(MqttMessage{"emon/ctrl/dev-1", {2}, 0, ""});
+  kernel.run();
+  EXPECT_EQ(held->received, 1);
+  EXPECT_FALSE(held->session->current);
+  EXPECT_EQ(broker.live_sessions(), 0u);
+}
+
+TEST_F(MqttFixture, HeldSessionReceivesNothingOnceAReconnectReplacesIt) {
+  auto old_session = hold_session(*this, "dev-1", "emon/ctrl/dev-1");
+  auto new_session = hold_session(*this, "dev-1", "emon/ctrl/dev-1");
+  EXPECT_FALSE(old_session->session->current);
+  EXPECT_TRUE(new_session->session->current);
+  broker.publish_from_host(MqttMessage{"emon/ctrl/dev-1", {1}, 0, ""});
+  kernel.run();
+  EXPECT_EQ(old_session->received, 0);
+  EXPECT_EQ(new_session->received, 1);
+  // Evicting the id silences the replacement too, and re-accepting the old
+  // object makes it the live session again.
+  broker.evict("dev-1");
+  EXPECT_TRUE(broker.accept(old_session->session));
+  broker.publish_from_host(MqttMessage{"emon/ctrl/dev-1", {2}, 0, ""});
+  kernel.run();
+  EXPECT_EQ(old_session->received, 1);
+  EXPECT_EQ(new_session->received, 1);
+  EXPECT_EQ(broker.live_sessions(), 1u);
 }
 
 TEST(MqttWire, PublishSizeAccounting) {

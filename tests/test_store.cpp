@@ -9,12 +9,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "core/billing.hpp"
 #include "core/records.hpp"
 #include "store/query_engine.hpp"
 #include "store/segment.hpp"
+#include "store/sequence_dedup.hpp"
 #include "store/series_store.hpp"
 #include "store/tsdb.hpp"
 #include "util/bytes.hpp"
@@ -1030,6 +1033,165 @@ TEST(Tsdb, DedupWindowIsBounded) {
   const auto agg = db.aggregate("dev-1", INT64_MIN, INT64_MAX);
   ASSERT_TRUE(agg.has_value());
   EXPECT_EQ(agg->count, 10'000u);
+}
+
+// The one duplicate filter (store/sequence_dedup.hpp) that both the Tsdb and
+// the aggregator's MemberEntry::seen_sequences use.
+TEST(SequenceDedup, RejectsADuplicateInsideTheWindow) {
+  SequenceDedup dedup;
+  for (std::uint64_t seq = 1; seq <= 100; ++seq) {
+    EXPECT_TRUE(dedup.admit(seq));
+  }
+  EXPECT_FALSE(dedup.admit(1));
+  EXPECT_FALSE(dedup.admit(50));
+  EXPECT_FALSE(dedup.admit(100));
+  // Out-of-order first arrivals inside the window are still admitted once.
+  EXPECT_TRUE(dedup.admit(150));
+  EXPECT_TRUE(dedup.admit(120));
+  EXPECT_FALSE(dedup.admit(120));
+  EXPECT_EQ(dedup.size(), 102u);
+}
+
+TEST(SequenceDedup, BelowTheFloorIsAcceptedButNotRemembered) {
+  SequenceDedup dedup;
+  const std::uint64_t base = 1'000'000;
+  for (std::uint64_t i = 0; i < SequenceDedup::kWindow; ++i) {
+    ASSERT_TRUE(dedup.admit(base + i));
+  }
+  ASSERT_EQ(dedup.size(), SequenceDedup::kWindow);
+  // Below the window's floor: admitted every time, never remembered, and
+  // the window keeps what it held.
+  EXPECT_TRUE(dedup.admit(7));
+  EXPECT_TRUE(dedup.admit(7));
+  EXPECT_EQ(dedup.size(), SequenceDedup::kWindow);
+  EXPECT_FALSE(dedup.admit(base));
+  // A new high-water mark evicts the floor, which then reads as new.
+  EXPECT_TRUE(dedup.admit(base + SequenceDedup::kWindow));
+  EXPECT_TRUE(dedup.admit(base));
+  EXPECT_FALSE(dedup.admit(base + 1));
+}
+
+TEST(SequenceDedup, SizeStaysWithinTheWindow) {
+  SequenceDedup dedup;
+  for (std::uint64_t seq = 1; seq <= 10'000; ++seq) {
+    dedup.admit(seq);
+    ASSERT_LE(dedup.size(), SequenceDedup::kWindow);
+  }
+  EXPECT_EQ(dedup.size(), SequenceDedup::kWindow);
+  EXPECT_FALSE(dedup.admit(10'000 - SequenceDedup::kWindow + 1));
+  EXPECT_TRUE(dedup.admit(10'000 - SequenceDedup::kWindow));
+}
+
+TEST(SequenceDedup, TsdbIngestAgreesWithTheFilter) {
+  // The store's per-device dedup is the same filter: over a stream with
+  // retransmissions, reordering and stale re-arrivals, ingest() accepts
+  // exactly what a fresh SequenceDedup admits.
+  util::Rng rng{211};
+  Tsdb db;
+  SequenceDedup reference;
+  ConsumptionRecord r = synthetic_stream(1, 211).front();
+  std::uint64_t high = 0;
+  for (int i = 0; i < 20'000; ++i) {
+    const double u = rng.uniform(0.0, 1.0);
+    if (u < 0.7 || high == 0) {
+      r.sequence = ++high;
+    } else if (u < 0.9) {
+      r.sequence = high - static_cast<std::uint64_t>(
+                              rng.uniform(0.0, static_cast<double>(
+                                                   std::min<std::uint64_t>(
+                                                       high, 64))));
+    } else {
+      r.sequence = 1 + static_cast<std::uint64_t>(
+                           rng.uniform(0.0, static_cast<double>(high)));
+    }
+    ASSERT_EQ(db.ingest(r), reference.admit(r.sequence)) << "step " << i;
+  }
+}
+
+/// Records every on_ingest call: (device, shard, ordinal).
+class RecordingHook : public Tsdb::IngestHook {
+ public:
+  void on_ingest(const ConsumptionRecord& record, std::size_t shard,
+                 std::uint64_t series_ordinal) override {
+    calls.emplace_back(record.device_id, shard, series_ordinal);
+  }
+  std::vector<std::tuple<core::DeviceId, std::size_t, std::uint64_t>> calls;
+};
+
+TEST(Tsdb, WriterHandleIngestEqualsByIdIngest) {
+  auto records = fleet_stream(24, 300, 227);
+  // Interleave devices and add retransmissions so dedup, seals and
+  // first-seen devices all happen mid-stream.
+  util::Rng rng{229};
+  std::vector<ConsumptionRecord> stream;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    stream.push_back(records[(i * 7919) % records.size()]);
+    if (rng.uniform(0.0, 1.0) < 0.05) {
+      stream.push_back(stream.back());
+    }
+  }
+  Tsdb by_id{TsdbOptions{4, 64}};
+  Tsdb by_handle{TsdbOptions{4, 64}};
+  RecordingHook id_hook;
+  RecordingHook handle_hook;
+  by_id.set_ingest_hook(&id_hook);
+  by_handle.set_ingest_hook(&handle_hook);
+  std::map<core::DeviceId, Tsdb::Writer> writers;
+  for (const auto& r : stream) {
+    Tsdb::Writer& w = writers[r.device_id];
+    if (!w) {
+      w = by_handle.writer(r.device_id);
+    }
+    ASSERT_EQ(by_handle.ingest(w, r), by_id.ingest(r));
+  }
+  const TsdbStats a = by_id.stats();
+  const TsdbStats b = by_handle.stats();
+  EXPECT_EQ(a.records_ingested, b.records_ingested);
+  EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped);
+  EXPECT_GT(b.duplicates_dropped, 0u);
+  EXPECT_EQ(a.segments_sealed, b.segments_sealed);
+  EXPECT_EQ(a.sealed_bytes, b.sealed_bytes);
+  EXPECT_EQ(a.devices, b.devices);
+  EXPECT_EQ(id_hook.calls, handle_hook.calls);
+  ASSERT_EQ(by_id.devices(), by_handle.devices());
+  for (const auto& dev : by_id.devices()) {
+    const auto want = by_id.scan(dev, INT64_MIN, INT64_MAX);
+    const auto got = by_handle.scan(dev, INT64_MIN, INT64_MAX);
+    ASSERT_EQ(want.size(), got.size()) << dev;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].sequence, want[i].sequence);
+      EXPECT_EQ(got[i].timestamp_ns, want[i].timestamp_ns);
+      EXPECT_EQ(got[i].current_ma, want[i].current_ma);
+      EXPECT_EQ(got[i].network, want[i].network);
+    }
+  }
+}
+
+TEST(Tsdb, WriterHandleSurvivesManyNewDevices) {
+  Tsdb db{TsdbOptions{4, 32}};
+  auto stream = synthetic_stream(200, 233);
+  const Tsdb::Writer w = db.writer("dev-1");
+  ASSERT_TRUE(static_cast<bool>(w));
+  for (std::size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db.ingest(w, stream[i]));
+  }
+  // 5,000 new series land in the same shards (map inserts, index
+  // republishes) while the handle is held.
+  ConsumptionRecord other = stream.front();
+  for (int d = 0; d < 5'000; ++d) {
+    other.device_id = "other-" + std::to_string(d);
+    ASSERT_TRUE(db.ingest(other));
+  }
+  for (std::size_t i = 100; i < stream.size(); ++i) {
+    ASSERT_TRUE(db.ingest(w, stream[i]));
+  }
+  EXPECT_FALSE(db.ingest(w, stream[150]));
+  EXPECT_EQ(db.stats().devices, 5'001u);
+  const auto got = db.scan("dev-1", INT64_MIN, INT64_MAX);
+  ASSERT_EQ(got.size(), stream.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_near_record(got[i], stream[i]);
+  }
 }
 
 TEST(Tsdb, ShardingIsStableAndCoversAllDevices) {
