@@ -221,8 +221,9 @@ void DeviceApp::begin_acquisition() {
 
 void DeviceApp::retry_acquisition(sim::Duration delay) {
   const std::uint64_t epoch = plug_epoch_;
-  kernel_->schedule_in(delay, [this, epoch] {
-    if (epoch == plug_epoch_) {
+  const std::uint64_t link = link_epoch_;
+  kernel_->schedule_in(delay, [this, epoch, link] {
+    if (epoch == plug_epoch_ && link == link_epoch_) {
       begin_acquisition();
     }
   });
@@ -263,13 +264,16 @@ void DeviceApp::on_associated(bool ok) {
       config_.device.join_settle_min +
       sim::nanoseconds(static_cast<std::int64_t>(rng_.uniform(0.0, settle_span)));
   const std::uint64_t epoch = plug_epoch_;
-  kernel_->schedule_in(settle, [this, epoch] {
-    if (epoch != plug_epoch_ || state_ != DeviceState::kAcquiring) {
+  const std::uint64_t link = link_epoch_;
+  kernel_->schedule_in(settle, [this, epoch, link] {
+    // A drop during the dwell already started a fresh acquisition.
+    if (epoch != plug_epoch_ || link != link_epoch_ ||
+        state_ != DeviceState::kAcquiring) {
       return;
     }
     const std::string& host = wifi_.connected_host();
     if (host.empty()) {
-      // The link dropped during the dwell (AP outage, roaming): a failed
+      // The association was lost without a drop notice: a failed
       // association, not a configuration fault.
       log_.info("association lost during link settle; reacquiring");
       retry_acquisition(sim::seconds(1));
@@ -282,7 +286,11 @@ void DeviceApp::on_associated(bool ok) {
       return;
     }
     mqtt_.connect(*broker, wifi_.uplink(), wifi_.downlink(),
-                  [this](bool connected) { on_mqtt_connected(connected); });
+                  [this, epoch, link](bool connected) {
+                    if (epoch == plug_epoch_ && link == link_epoch_) {
+                      on_mqtt_connected(connected);
+                    }
+                  });
   });
 }
 
@@ -431,6 +439,7 @@ void DeviceApp::on_wifi_drop() {
     return;
   }
   log_.info("Wi-Fi link dropped");
+  ++link_epoch_;
   mqtt_.drop();
   if (state_ != DeviceState::kAcquiring) {
     state_ = DeviceState::kAcquiring;

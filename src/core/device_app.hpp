@@ -232,6 +232,10 @@ class DeviceApp {
   std::vector<HandshakeRecord> handshakes_;
   double tamper_factor_ = 1.0;
   std::uint64_t plug_epoch_ = 0;  // invalidates scheduled continuations
+  /// Bumped on every Wi-Fi drop.  The drop handler starts the one live
+  /// acquisition chain, so continuations scheduled before it (settle dwell,
+  /// MQTT connect result, retries) end quietly.
+  std::uint64_t link_epoch_ = 0;
 
   DeviceStats stats_;
 };

@@ -94,6 +94,14 @@ TEST(Lifecycle, ApLostDuringSettleRetriesWithoutError) {
   util::LogConfig::set_level(saved_level);
   EXPECT_TRUE(errors.empty()) << errors.front();
   EXPECT_EQ(dev.state(), DeviceState::kReporting);
+  // One acquisition chain survives the drop: dev-1 rescans once for the
+  // drop itself, not once per retry of a second chain polling a busy radio.
+  // dev-2, on the other network, never lost its AP.
+  const auto& undisturbed = bed.device(1);
+  ASSERT_EQ(undisturbed.state(), DeviceState::kReporting);
+  EXPECT_LE(dev.stats().scans, undisturbed.stats().scans + 1)
+      << "dev-1 " << dev.stats().scans << " scans, dev-2 "
+      << undisturbed.stats().scans;
 }
 
 TEST(Lifecycle, MoveSupersedesMove) {
