@@ -2,15 +2,16 @@
 """Diff the determinism-matrix artifact against the checked-in digest table.
 
 bench/determinism_matrix.cpp runs every canned scenario x seed x shard
-count and writes BENCH_determinism.json with one Trace::digest() per cell.
-This script enforces two layers:
+count and writes BENCH_determinism.json with two digests per cell: the
+Trace::digest() and a verification digest over every aggregator's
+verification history.  This script enforces two layers:
 
   1. The artifact's own gates (shard parity, seed sensitivity) must have
      passed — always hard; there is no way to baseline a parity break.
-  2. Every digest must match tools/determinism_matrix.json, the table
-     pinned in the repo.  A mismatch means the revision changed simulated
-     behaviour; if that is intentional, re-pin with --update and let the
-     diff show up in review.  Cells missing from the table (a new
+  2. Every digest of both kinds must match tools/determinism_matrix.json,
+     the table pinned in the repo.  A mismatch means the revision changed
+     simulated behaviour; if that is intentional, re-pin with --update and
+     let the diff show up in review.  Cells missing from the table (a new
      scenario) are reported the same way.
 
 Stdlib only.  Exits 0 when everything matches, 1 otherwise.
@@ -56,23 +57,32 @@ def main() -> int:
             print("FAIL %s: artifact reports the gate as failed" % gate)
             failures += 1
 
-    digests = {cell_key(e): e["digest"] for e in artifact.get("entries", [])}
-    if not digests:
+    entries = artifact.get("entries", [])
+    # Table section -> that section's digest per cell.
+    kinds = {
+        "digests": {cell_key(e): e["digest"] for e in entries},
+        "verification_digests": {cell_key(e): e.get("verify_digest")
+                                 for e in entries},
+    }
+    if not entries:
         print("FAIL: artifact holds no matrix entries")
         failures += 1
+    for key, got in sorted(kinds["verification_digests"].items()):
+        if got is None:
+            print("FAIL %s: artifact entry has no verify_digest" % key)
+            failures += 1
 
     if args.update:
         if failures:
             print("refusing --update: parity gates failed", file=sys.stderr)
             return 1
-        table = {
-            "duration_s": artifact.get("duration_s"),
-            "digests": dict(sorted(digests.items())),
-        }
+        table = {"duration_s": artifact.get("duration_s")}
+        for kind, digests in kinds.items():
+            table[kind] = dict(sorted(digests.items()))
         with open(args.table, "w", encoding="utf-8") as f:
             json.dump(table, f, indent=2)
             f.write("\n")
-        print("pinned %d digests into %s" % (len(digests), args.table))
+        print("pinned %d cells into %s" % (len(entries), args.table))
         return 0
 
     # Layer 2: the checked-in table.
@@ -84,35 +94,37 @@ def main() -> int:
               % (args.table, exc), file=sys.stderr)
         return 1
 
-    pinned = table.get("digests", {})
     if artifact.get("duration_s") != table.get("duration_s"):
         print("FAIL: artifact duration_s=%s but table pinned %s — digests "
               "are only comparable at the same horizon"
               % (artifact.get("duration_s"), table.get("duration_s")))
         failures += 1
-    for key in sorted(set(pinned) | set(digests)):
-        got = digests.get(key)
-        want = pinned.get(key)
-        if got is None:
-            print("FAIL %s: pinned in the table but absent from the "
-                  "artifact" % key)
-            failures += 1
-        elif want is None:
-            print("FAIL %s: new matrix cell %s not in the table — pin it "
-                  "with --update" % (key, got))
-            failures += 1
-        elif got != want:
-            print("FAIL %s: digest drifted %s -> %s — if the behaviour "
-                  "change is intentional, re-pin with --update"
-                  % (key, want, got))
-            failures += 1
-        else:
-            print("ok   %s %s" % (key, got))
+    for kind, digests in kinds.items():
+        pinned = table.get(kind, {})
+        for key in sorted(set(pinned) | set(digests)):
+            got = digests.get(key)
+            want = pinned.get(key)
+            if got is None:
+                print("FAIL %s %s: pinned in the table but absent from the "
+                      "artifact" % (kind, key))
+                failures += 1
+            elif want is None:
+                print("FAIL %s %s: new matrix cell %s not in the table — "
+                      "pin it with --update" % (kind, key, got))
+                failures += 1
+            elif got != want:
+                print("FAIL %s %s: digest drifted %s -> %s — if the "
+                      "behaviour change is intentional, re-pin with --update"
+                      % (kind, key, want, got))
+                failures += 1
+            else:
+                print("ok   %s %s %s" % (kind, key, got))
 
     if failures:
         print("determinism matrix: %d failure(s)" % failures)
         return 1
-    print("determinism matrix: all %d cells match" % len(digests))
+    print("determinism matrix: all %d cells match on both digests"
+          % len(entries))
     return 0
 
 
