@@ -105,23 +105,6 @@ void Aggregator::start() {
   }
   started_ = true;
   window_start_ = kernel_.now();
-  // The maintained live roll-up behind the verification hot read: one
-  // window per verification interval over live records at this location,
-  // grid anchored at the verify timer's epoch.  Specs are shared by
-  // equality, so an MQTT dashboard watching the same view rides the same
-  // maintained fold.
-  store::RollupSpec live_spec;
-  live_spec.window_ns = config_.aggregator.verify_interval.ns();
-  live_spec.slide_ns = live_spec.window_ns;
-  live_spec.lateness_ns = config_.aggregator.rollup_lateness.ns();
-  live_spec.anchor_ns = window_start_.ns();
-  live_spec.filter.network = network_;
-  live_spec.filter.stored_offline = false;
-  // The subscription exists to hold the roll-up for hot_window(); nothing
-  // consumes its closed windows.
-  verify_sub_ = subscriptions_.subscribe_local(
-      live_spec, [](const store::ClosedWindow&) {});
-  verify_rollup_id_ = subscriptions_.backing_rollup(verify_sub_);
   feeder_timer_ = std::make_unique<sim::PeriodicTimer>(
       kernel_, config_.device.t_measure, [this] { on_feeder_sample(); });
   verify_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -148,13 +131,6 @@ void Aggregator::stop() {
   block_timer_.reset();
   beacon_timer_.reset();
   expiry_timer_.reset();
-  // Release the start()-registered roll-up so a restart anchors a fresh
-  // window grid instead of stacking subscriptions.
-  if (verify_sub_ != 0) {
-    subscriptions_.unsubscribe_local(verify_sub_);
-    verify_sub_ = 0;
-    verify_rollup_id_ = 0;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -395,32 +371,19 @@ void Aggregator::trace_record(MemberEntry& member,
   if (trace_ == nullptr) {
     return;
   }
-  const sim::SimTime reported{record.timestamp_ns};
-  if (record.device_id != member.device_id) {
-    // A record naming another device: its series are not the member's.
-    trace_->append("reported." + id_ + "." + record.device_id, reported,
-                   record.current_ma);
-    trace_->append("arrival." + id_ + "." + record.device_id, kernel_.now(),
-                   record.current_ma);
-    return;
-  }
   if (!member.reported_series) {
     member.reported_series =
         trace_->series_ref("reported." + id_ + "." + member.device_id);
     member.arrival_series =
         trace_->series_ref("arrival." + id_ + "." + member.device_id);
   }
+  const sim::SimTime reported{record.timestamp_ns};
   trace_->append(member.reported_series, reported, record.current_ma);
   trace_->append(member.arrival_series, kernel_.now(), record.current_ma);
 }
 
 void Aggregator::ingest_record(MemberEntry& member,
                                const ConsumptionRecord& record) {
-  if (record.device_id != member.device_id) {
-    // A record naming another device belongs to that device's series.
-    tsdb_.ingest(record);
-    return;
-  }
   if (!member.tsdb_writer) {
     member.tsdb_writer = tsdb_.writer(member.device_id);
   }
@@ -591,47 +554,21 @@ void Aggregator::on_verify_window() {
   const std::vector<DeviceId>& members = sorted_member_ids();
   std::map<DeviceId, double> reported;
   double reported_total_ma = 0.0;
-  // Hot read first: the maintained verify rollup answers the window from
-  // its pane ring, no segment re-fold.  Any device it cannot answer
-  // exactly (a record later than the lateness horizon, pane data aged out)
-  // drops the whole window to the cold fleet query — same answer, full
-  // price.  Devices with no live records here this window are omitted, so
-  // an all-member read never mistakes "no members" for "every device".
-  bool hot = verify_rollup_id_ != 0;
-  if (hot) {
-    for (const auto& device : members) {
-      const auto window = rollup_engine_.hot_window(
-          verify_rollup_id_, device, window_start_.ns(), window_end.ns());
-      if (!window) {
-        hot = false;
-        reported.clear();
-        reported_total_ma = 0.0;
-        break;
-      }
-      if (window->count > 0) {
-        reported[device] = window->mean_current_ma;
-        reported_total_ma += window->mean_current_ma;
-      }
-    }
-  }
-  if (!hot && !members.empty()) {
-    store::RecordFilter live_here;
-    live_here.network = network_;
-    live_here.stored_offline = false;
+  // One fleet query over the sorted member list.  It returns devices in
+  // sorted order and omits those with no live records here this window, so
+  // an empty member list must not reach it (empty means "every device").
+  if (!members.empty()) {
     store::QuerySpec window_spec;
     window_spec.t0_ns = window_start_.ns();
     window_spec.t1_ns = window_end.ns();
-    window_spec.filter = live_here;
-    // Lend the maintained sorted member list (one fleet query,
-    // shard-parallel when the engine has workers; per_device comes back in
-    // sorted device order, the same order the old member loop folded in).
+    window_spec.filter.network = network_;
+    window_spec.filter.stored_offline = false;
     window_spec.borrowed_devices = &members;
     window_spec.devices_presorted = true;
-    const store::FleetStats window_stats =
-        query_engine_.current_stats(window_spec);
-    for (const auto& [device, stats] : window_stats.per_device) {
-      reported[device] = stats.mean();
-      reported_total_ma += stats.mean();
+    for (const auto& [device, window] :
+         query_engine_.aggregate(window_spec).per_device) {
+      reported[device] = window.avg_current_ma;
+      reported_total_ma += window.avg_current_ma;
     }
   }
   forecaster_.observe(reported_total_ma);

@@ -123,13 +123,13 @@ class Aggregator {
   [[nodiscard]] const DemandForecaster& forecaster() const noexcept {
     return forecaster_;
   }
-  /// Maintained roll-ups over the store (verification hot reads, dashboard
-  /// push windows) — the Tsdb's ingest hook.
+  /// Maintained roll-ups over the store (dashboard push windows) — the
+  /// Tsdb's ingest hook.  Empty until a dashboard subscribes.
   [[nodiscard]] const store::RollupEngine& rollup_engine() const noexcept {
     return rollup_engine_;
   }
   /// Live dashboard subscription service (MQTT subscribe/push on emon/sub
-  /// and emon/push/<client>, plus in-process subscribers).
+  /// and emon/push/<client>).
   [[nodiscard]] SubscriptionService& subscriptions() noexcept {
     return subscriptions_;
   }
@@ -197,7 +197,8 @@ class Aggregator {
   void accept_records(MemberEntry& member, const Report& report)
       EMON_OWNER_THREAD_CONTEXT;
   /// Ingests an accepted record into tsdb_, through the member's cached
-  /// writer handle.
+  /// writer handle.  The record names the member: the report decoder
+  /// rejects a report carrying another device's records.
   void ingest_record(MemberEntry& member, const ConsumptionRecord& record)
       EMON_OWNER_THREAD_CONTEXT;
   /// Appends an accepted record to the `reported.*` and `arrival.*` trace
@@ -251,16 +252,14 @@ class Aggregator {
   EnergyMeter feeder_meter_;
 
   // Verification window state.  The feeder side keeps a running mean (the
-  // feeder is not a device stream); the reported side is a maintained
-  // roll-up hot read with a cold store query as the exact fallback.
+  // feeder is not a device stream); the reported side is one store query
+  // per window.
   util::RunningStats window_feeder_ma_;
   sim::SimTime window_start_{};
   sim::SimTime last_membership_change_{};
   std::vector<VerificationResult> verification_history_;
 
-  // The verification roll-up (registered at start(), released at stop()).
-  std::uint64_t verify_sub_ = 0;        // local subscription holding it
-  std::uint64_t verify_rollup_id_ = 0;  // its backing rollup (hot reads)
+  // Sorted member ids lent to the verification query.
   std::vector<DeviceId> member_ids_;
   bool member_ids_stale_ = true;
 

@@ -52,10 +52,10 @@ struct AggregatorConfig {
   double anomaly_rel_tolerance = 0.04;
   /// Membership expiry for temporary members with no traffic.
   sim::Duration temp_member_timeout = sim::seconds(30);
-  /// Lateness horizon of the maintained roll-ups behind live dashboard
-  /// subscriptions and verification hot reads: a window [E-W, E) closes
-  /// (and pushes) once the max ingested record timestamp passes
-  /// E + rollup_lateness.  Sized to cover QoS 1 retransmission delay
+  /// Default lateness horizon of the maintained roll-ups behind live
+  /// dashboard subscriptions (a SubscribeRequest may set its own): a window
+  /// [E-W, E) closes (and pushes) once the max ingested record timestamp
+  /// passes E + rollup_lateness.  Sized to cover QoS 1 retransmission delay
   /// (ack_timeout * max_attempts) so ordinary redelivery never makes a
   /// record "too late"; later records still land in the cold query path.
   sim::Duration rollup_lateness = sim::seconds(2);

@@ -4,6 +4,21 @@
 
 namespace emon::core {
 
+namespace {
+/// A report or roam batch speaks for one device: a record naming another
+/// would be stored, chained and billed as that device's consumption.
+void require_own_records(const DeviceId& device,
+                         const std::vector<ConsumptionRecord>& records,
+                         const char* what) {
+  for (const auto& record : records) {
+    if (record.device_id != device) {
+      throw util::DecodeError(std::string(what) + " for " + device +
+                              " carries a record of " + record.device_id);
+    }
+  }
+}
+}  // namespace
+
 const char* to_string(CtrlType t) noexcept {
   switch (t) {
     case CtrlType::kRegisterAccept:
@@ -51,6 +66,7 @@ Report decode_report(std::span<const std::uint8_t> bytes) {
   m.device_id = r.str();
   const std::uint32_t len = r.u32();
   m.records = deserialize_records(r.raw(len));
+  require_own_records(m.device_id, m.records, "report");
   return m;
 }
 
@@ -148,6 +164,7 @@ RoamRecords decode_roam_records(std::span<const std::uint8_t> bytes) {
   m.collector = r.str();
   const std::uint32_t len = r.u32();
   m.records = deserialize_records(r.raw(len));
+  require_own_records(m.device_id, m.records, "roam records");
   return m;
 }
 

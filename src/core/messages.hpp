@@ -35,6 +35,7 @@ struct RegisterRequest {
 /// A consumption report: current measurement plus any locally stored
 /// backlog ("The combination of stored data and the measurement are
 /// transmitted to the aggregator in the next transmission", §II-C).
+/// Every record names `device_id`; decode_report rejects one that does not.
 struct Report {
   DeviceId device_id;
   std::vector<ConsumptionRecord> records;
@@ -100,7 +101,8 @@ struct VerifyDeviceResponse {
   std::string master;  // responder id
 };
 /// roam_records: records collected for a device under temporary membership,
-/// forwarded to its master for billing.
+/// forwarded to its master for billing.  Every record names `device_id`;
+/// decode_roam_records rejects one that does not.
 struct RoamRecords {
   DeviceId device_id;
   std::string collector;  // temporary aggregator

@@ -163,8 +163,9 @@ void SubscriptionService::publish(const std::string& client_id,
 void SubscriptionService::pump() {
   const obs::ScopedTimer pump_timer(pump_ns_);
   const std::int64_t now_ns = broker_.kernel().now().ns();
-  // Index snapshot: a local handler may subscribe/unsubscribe re-entrantly,
-  // so iterate by rollup id, not by iterator into rollups_.
+  // Index snapshot: publish() dispatches synchronously, so a broker-local
+  // handler may (un)subscribe re-entrantly; iterate by rollup id, not by
+  // iterator into rollups_.
   std::vector<std::uint64_t> ids;
   ids.reserve(rollups_.size());
   for (const auto& backing : rollups_) {
@@ -195,15 +196,6 @@ void SubscriptionService::pump() {
                                        sub.include_per_device)));
         ++stats_.pushes_sent;
       }
-      // Copy: a handler may mutate local_ (unsubscribe from inside).
-      const std::vector<LocalSub> locals = local_;
-      for (const auto& sub : locals) {
-        if (sub.rollup_id != rollup_id) {
-          continue;
-        }
-        sub.handler(window);
-        ++stats_.local_deliveries;
-      }
     }
   }
   // Owner-thread update path: pump() runs wherever the rollup engine's
@@ -213,41 +205,6 @@ void SubscriptionService::pump() {
   // query threads read it safely — the single-writer discipline is about
   // the rollup drain above, not the gauge.
   watermark_lag_ns_.set(max_lag_ns);
-}
-
-std::uint64_t SubscriptionService::subscribe_local(store::RollupSpec spec,
-                                                   LocalHandler handler) {
-  const std::uint64_t rollup_id = acquire_rollup(std::move(spec));
-  if (rollup_id == 0) {
-    return 0;
-  }
-  LocalSub sub;
-  sub.handle = next_local_handle_++;
-  sub.rollup_id = rollup_id;
-  sub.handler = std::move(handler);
-  local_.push_back(std::move(sub));
-  ++stats_.subscriptions_accepted;
-  return local_.back().handle;
-}
-
-std::uint64_t SubscriptionService::backing_rollup(std::uint64_t handle) const {
-  for (const auto& sub : local_) {
-    if (sub.handle == handle) {
-      return sub.rollup_id;
-    }
-  }
-  return 0;
-}
-
-void SubscriptionService::unsubscribe_local(std::uint64_t handle) {
-  for (auto it = local_.begin(); it != local_.end(); ++it) {
-    if (it->handle == handle) {
-      release_rollup(it->rollup_id);
-      local_.erase(it);
-      ++stats_.unsubscribes;
-      return;
-    }
-  }
 }
 
 RollupPush to_push(const store::ClosedWindow& window,

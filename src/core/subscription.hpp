@@ -18,13 +18,8 @@
 // are bit-identical to cold fleet queries (store/rollup.hpp), so a decoded
 // push compares == to QueryEngine::aggregate over the same range — the
 // differential tests pin exactly that.
-//
-// Colocated consumers (the aggregator's verification roll-up) use
-// subscribe_local(): same rollup sharing, no MQTT hop — the callback runs
-// inside pump().
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,15 +44,10 @@ struct SubscriptionStats {
   std::uint64_t pushes_sent = 0;
   /// Closed windows fanned out (counted once however many subscribers).
   std::uint64_t windows_pushed = 0;
-  /// Local (in-process) callbacks invoked.
-  std::uint64_t local_deliveries = 0;
 };
 
 class SubscriptionService {
  public:
-  /// A local subscriber's per-window callback.
-  using LocalHandler = std::function<void(const store::ClosedWindow&)>;
-
   /// Binds to the aggregator's broker and rollup engine.  `anchor_ns` pins
   /// the window grid every subscription shares (the aggregator passes its
   /// start time, aligning push windows with its verification windows).
@@ -84,26 +74,15 @@ class SubscriptionService {
   void attach() EMON_OWNER_THREAD;
 
   /// Drains every backing rollup and publishes the closed windows to their
-  /// subscribers (and local handlers).  The aggregator calls this after
-  /// ingest activity; cost is O(1) when no window closed.
+  /// subscribers.  The aggregator calls this after ingest activity; cost is
+  /// O(1) when no window closed.
   void pump() EMON_OWNER_THREAD;
-
-  /// In-process subscription: `handler` runs inside pump() for every closed
-  /// window of the rollup described by `spec`.  Shares rollups with MQTT
-  /// subscribers on spec equality.  Returns a handle for unsubscribe_local.
-  std::uint64_t subscribe_local(store::RollupSpec spec, LocalHandler handler)
-      EMON_OWNER_THREAD;
-  void unsubscribe_local(std::uint64_t handle) EMON_OWNER_THREAD;
-  /// Rollup id backing a local subscription (0 if the handle is unknown) —
-  /// lets the owner read the same maintained windows via
-  /// RollupEngine::hot_window before they close.
-  [[nodiscard]] std::uint64_t backing_rollup(std::uint64_t handle) const;
 
   [[nodiscard]] const SubscriptionStats& stats() const noexcept {
     return stats_;
   }
   [[nodiscard]] std::size_t active_subscriptions() const noexcept {
-    return remote_.size() + local_.size();
+    return remote_.size();
   }
   /// Backing rollups currently maintained (shared specs collapse).
   [[nodiscard]] std::size_t active_rollups() const noexcept {
@@ -124,11 +103,6 @@ class SubscriptionService {
     std::uint64_t rollup_id = 0;
     bool include_per_device = false;
   };
-  struct LocalSub {
-    std::uint64_t handle = 0;
-    std::uint64_t rollup_id = 0;
-    LocalHandler handler;
-  };
 
   void handle_frame(const net::MqttMessage& msg) EMON_OWNER_THREAD;
   void handle_subscribe(const SubscribeRequest& req) EMON_OWNER_THREAD;
@@ -148,8 +122,6 @@ class SubscriptionService {
   /// Remote subs keyed by (client_id, subscription_id) — a re-subscribe
   /// with the same key replaces the old subscription.
   std::map<std::pair<std::string, std::uint64_t>, RemoteSub> remote_;
-  std::vector<LocalSub> local_;
-  std::uint64_t next_local_handle_ = 1;
   SubscriptionStats stats_;
   // Registry instruments (no-ops when constructed without a registry).
   obs::Histogram pump_ns_;

@@ -16,7 +16,7 @@
 //   aggregate()         per-device totals over a range, optionally filtered;
 //                       fully-covered sealed segments under an empty filter
 //                       are answered from their summary block alone
-//   current_stats()     filtered mean/min/max of current (verification reads)
+//   current_stats()     filtered mean/min/max of current (dashboard reads)
 //   network_breakdown() per-network record/energy subtotals (billing reads),
 //                       answered entirely from segment dictionaries
 //
@@ -297,7 +297,7 @@ class Tsdb {
       const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;
 
-  /// Mean/min/max of current over matching records (verification reads).
+  /// Mean/min/max of current over matching records (dashboard reads).
   [[nodiscard]] util::RunningStats current_stats(
       const DeviceId& device, std::int64_t t0_ns, std::int64_t t1_ns,
       const RecordFilter& filter = {}) const;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "chain/ledger.hpp"
@@ -455,6 +456,28 @@ TEST(Malformed, NonBooleanFlagByteRejected) {
   auto req_decoded = decode_any(req_frame);
   ASSERT_FALSE(req_decoded.ok());
   EXPECT_EQ(req_decoded.failure().fault, DecodeFault::kMalformedPayload);
+}
+
+TEST(Malformed, ReportCarryingAnotherDevicesRecordRejected) {
+  // A report speaks for its sender only: one record naming another device
+  // anywhere in the batch makes the whole frame malformed.
+  ConsumptionRecord foreign = sample_record(2);
+  foreign.device_id = "dev-2";
+  auto decoded =
+      decode_any(seal(Report{"dev-1", {sample_record(1), foreign}}));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.failure().fault, DecodeFault::kMalformedPayload);
+  EXPECT_NE(decoded.failure().detail.find("dev-2"), std::string::npos);
+}
+
+TEST(Malformed, RoamRecordsCarryingAnotherDevicesRecordRejected) {
+  ConsumptionRecord foreign = sample_record(6);
+  foreign.device_id = "dev-2";
+  auto decoded = decode_any(
+      seal(RoamRecords{"dev-1", "agg-2", {sample_record(5), foreign}}));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.failure().fault, DecodeFault::kMalformedPayload);
+  EXPECT_NE(decoded.failure().detail.find("dev-2"), std::string::npos);
 }
 
 TEST(Malformed, OversizedLengthPrefixInsidePayload) {

@@ -158,7 +158,7 @@ TEST(Messages, BackhaulRoundTrips) {
   EXPECT_TRUE(vr.known);
   EXPECT_EQ(vr.master, "a1");
 
-  RoamRecords roam{"d", "a2", {sample_record(5)}};
+  RoamRecords roam{"dev-1", "a2", {sample_record(5)}};
   const auto rr = decode_roam_records(encode(roam));
   EXPECT_EQ(rr.collector, "a2");
   EXPECT_EQ(rr.records, roam.records);

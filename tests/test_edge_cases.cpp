@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -396,18 +397,61 @@ TEST(AggregatorEdge, StopHaltsPeriodicDuties) {
   EXPECT_GT(agg.verification_history().size(), windows);
 }
 
-TEST(AggregatorEdge, MaintainsOnlyTheVerificationRollup) {
-  // The verification window's hot read is the one roll-up an aggregator
-  // keeps; stop() releases it and a restart registers it once again.
+TEST(AggregatorEdge, KeepsNoRollupWithoutADashboard) {
+  // The verification window is one store query; roll-ups exist only for
+  // dashboard subscriptions, so none is kept before, across or after a
+  // restart.
   Testbed bed{small_params(13)};
   auto& agg = bed.aggregator(0);
   bed.start();
-  EXPECT_EQ(agg.subscriptions().active_rollups(), 1u);
-  agg.stop();
   EXPECT_EQ(agg.subscriptions().active_rollups(), 0u);
+  EXPECT_EQ(agg.rollup_engine().rollup_count(), 0u);
+  agg.stop();
   agg.start();
   bed.run_for(seconds(5));
-  EXPECT_EQ(agg.subscriptions().active_rollups(), 1u);
+  EXPECT_EQ(agg.subscriptions().active_rollups(), 0u);
+  EXPECT_EQ(agg.rollup_engine().rollup_count(), 0u);
+  EXPECT_FALSE(agg.verification_history().empty());
+}
+
+TEST(AggregatorEdge, MemberReportCarryingAnotherDevicesRecordIsMalformed) {
+  // A member may only report its own consumption.  A report from one
+  // member that carries a record naming its neighbour is dropped whole at
+  // decode: nothing lands in the neighbour's history, and nothing is
+  // accepted for the sender either.
+  Testbed bed{
+      FleetBuilder{}.name("one_by_two").networks(1, 2).seed(14).spec()};
+  bed.start();
+  bed.run_for(seconds(15));
+  auto& agg = bed.aggregator(0);
+  const DeviceId sender = bed.device(0).id();
+  const DeviceId victim = bed.device(1).id();
+  ASSERT_NE(agg.members().find(sender), nullptr);
+  ASSERT_NE(agg.members().find(victim), nullptr);
+  const auto victim_history = [&] {
+    return agg.tsdb().scan(victim, INT64_MIN, INT64_MAX).size();
+  };
+  const std::size_t victim_before = victim_history();
+  ASSERT_GT(victim_before, 0u);
+  const AggregatorStats before = agg.stats();
+
+  ConsumptionRecord forged;
+  forged.device_id = victim;
+  forged.sequence = 1'000'000;
+  forged.timestamp_ns = bed.kernel().now().ns();
+  forged.interval_ns = 100'000'000;
+  forged.current_ma = 900.0;
+  forged.bus_voltage_mv = 5000.0;
+  forged.energy_mwh = 0.125;
+  forged.network = agg.network();
+  agg.broker().publish_from_host(
+      net::MqttMessage{protocol::topic_report(sender),
+                       protocol::seal(Report{sender, {forged}}), 0, sender});
+
+  EXPECT_EQ(agg.stats().malformed_frames, before.malformed_frames + 1);
+  EXPECT_EQ(agg.stats().reports_accepted, before.reports_accepted);
+  EXPECT_EQ(agg.stats().records_accepted, before.records_accepted);
+  EXPECT_EQ(victim_history(), victim_before);
 }
 
 }  // namespace

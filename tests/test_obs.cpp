@@ -476,14 +476,6 @@ TEST(LiveScrape, MidRunStatsRequestReturnsHotPipelineHistograms) {
                [](bool) {});
   bed.run_for(sim::milliseconds(50));
 
-  // Cold query activity for the scrape to observe: verification prefers
-  // the maintained hot rollup read, so drive one on-demand fleet query —
-  // the path dashboards and billing take.
-  store::QuerySpec everything;
-  everything.t0_ns = 0;
-  everything.t1_ns = bed.kernel().now().ns();
-  (void)bed.aggregator(0).query_engine().aggregate(everything);
-
   std::vector<core::StatsResponse> responses;
   dash.subscribe(protocol::topic_push("dash-obs"),
                  [&responses](const net::MqttMessage& m) {
@@ -494,6 +486,18 @@ TEST(LiveScrape, MidRunStatsRequestReturnsHotPipelineHistograms) {
                      responses.push_back(*resp);
                    }
                  });
+  // The push path runs only for a dashboard: subscribe to 1 s windows of
+  // live records at this location, with the default 2 s lateness.  The
+  // roll-up backfills from the store, so windows close within ~2 s.
+  core::SubscribeRequest live;
+  live.client_id = "dash-obs";
+  live.subscription_id = 1;
+  live.window_ns = sim::seconds(1).ns();
+  live.lateness_ns = -1;
+  live.network = bed.aggregator(0).network();
+  live.stored_offline = false;
+  dash.publish(std::string(protocol::kTopicSubscribe), seal(live), 1);
+  bed.run_for(sim::seconds(3));
   dash.publish(std::string(protocol::kTopicMetrics),
                seal(core::StatsRequest{"dash-obs", 42}), 1);
   bed.run_for(sim::seconds(1));
@@ -529,10 +533,9 @@ TEST(LiveScrape, MidRunStatsRequestReturnsHotPipelineHistograms) {
     if (h.name.rfind("query_ns{", 0) == 0) query_samples += h.count;
   }
   EXPECT_GT(query_samples, 0u);
-  // Push path: windows closed and pumped (verify interval 1 s, lateness
-  // 2 s).  The aggregator's roll-up holds live records only, which start
-  // after the ~6 s registration handshake, so the first window with a
-  // record (the only kind e2e_report_to_push_ns times) closes by ~9 s.
+  // Push path: the dashboard's windows closed and were pumped, and the
+  // first window with a record (the only kind e2e_report_to_push_ns times)
+  // was pushed.
   EXPECT_GT(histogram_count("sub_pump_ns"), 0u);
   EXPECT_GT(counter("rollup_windows_closed"), 0u);
   EXPECT_GT(histogram_count("e2e_report_to_push_ns"), 0u);

@@ -10,11 +10,10 @@
 //   * tumbling / sliding / filtered / device-scoped windows vs cold queries
 //   * mid-stream registration backfill, pool-parallel drain determinism
 //   * seeded out-of-order ingest fuzz with drains interleaved
-//   * beyond-horizon late records: counted, dropped to the cold path,
-//     hot_window refuses to answer
-//   * hot (pre-close) window reads vs cold aggregates
+//   * beyond-horizon late records: counted and dropped to the cold path
 //   * subscribe/ack/push/unsubscribe over a real broker + client pair,
-//     rollup sharing, re-subscribe, rejects, malformed frames
+//     rollup sharing and shared fan-out, re-subscribe, rejects, malformed
+//     frames
 //   * broker fan-out batching (one wire frame, N recipients)
 
 #include <gtest/gtest.h>
@@ -676,10 +675,6 @@ TEST(RollupLateness, BeyondHorizonRecordFallsToColdPath) {
   q.t0_ns = first.t0_ns;
   q.t1_ns = first.t1_ns;
   EXPECT_EQ(engine.aggregate(q).merged.count, emitted_count + 1);
-
-  // And the hot read refuses to serve a range it knows it under-counts.
-  EXPECT_FALSE(
-      rollups.hot_window(id, "dev-1", first.t0_ns, first.t1_ns).has_value());
 }
 
 TEST(RollupLateness, RunawayWatermarkGapSkipsInsteadOfFlooding) {
@@ -704,53 +699,6 @@ TEST(RollupLateness, RunawayWatermarkGapSkipsInsteadOfFlooding) {
   EXPECT_GT(stats->windows_skipped, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Hot (pre-close) window reads
-// ---------------------------------------------------------------------------
-
-TEST(RollupHotWindow, MatchesColdAggregateBeforeClose) {
-  Tsdb db{TsdbOptions{4, 32}};
-  RollupEngine rollups{db};
-  db.set_ingest_hook(&rollups);
-
-  RollupSpec spec;
-  spec.window_ns = kSecond;
-  spec.slide_ns = kSecond;
-  spec.lateness_ns = 500 * kMs;
-  const std::uint64_t id = rollups.register_rollup(spec);
-
-  ingest_all(db, make_fleet(3, 9, 2, 41));  // all inside [0, 1 s)
-
-  const QueryEngine engine{db, QueryEngineOptions{1}};
-  for (const core::DeviceId device : {"dev-1", "dev-2", "dev-3"}) {
-    const auto hot = rollups.hot_window(id, device, 0, kSecond);
-    ASSERT_TRUE(hot.has_value()) << device;
-    QuerySpec q;
-    q.devices = {device};
-    q.t0_ns = 0;
-    q.t1_ns = kSecond;
-    const FleetAggregate cold = engine.aggregate(q);
-    ASSERT_EQ(cold.per_device.size(), 1u);
-    const DeviceAggregate& agg = cold.per_device[0].second;
-    EXPECT_EQ(hot->count, agg.count);
-    // Same quantized epilogue on both sides: exact equality, not NEAR.
-    EXPECT_EQ(hot->mean_current_ma, agg.avg_current_ma);
-    EXPECT_EQ(hot->min_current_ma, agg.min_current_ma);
-    EXPECT_EQ(hot->max_current_ma, agg.max_current_ma);
-    EXPECT_EQ(hot->sum_energy_mwh, agg.sum_energy_mwh);
-  }
-
-  // Unknown device: a true zero, not a refusal.
-  const auto unknown = rollups.hot_window(id, "dev-none", 0, kSecond);
-  ASSERT_TRUE(unknown.has_value());
-  EXPECT_EQ(unknown->count, 0u);
-
-  // Unaligned bounds and unknown rollup ids are refusals.
-  EXPECT_FALSE(rollups.hot_window(id, "dev-1", 1, kSecond).has_value());
-  EXPECT_FALSE(rollups.hot_window(id, "dev-1", 0, kSecond + 7).has_value());
-  EXPECT_FALSE(rollups.hot_window(9999, "dev-1", 0, kSecond).has_value());
-}
-
 }  // namespace
 }  // namespace emon::store
 
@@ -764,12 +712,10 @@ namespace {
 using net::MqttBroker;
 using net::MqttClient;
 using net::MqttMessage;
-using store::ClosedWindow;
 using store::QueryEngine;
 using store::QueryEngineOptions;
 using store::QuerySpec;
 using store::RollupEngine;
-using store::RollupSpec;
 using store::Tsdb;
 using store::TsdbOptions;
 
@@ -1046,45 +992,46 @@ TEST_F(SubscriptionFixture, UnsubscribeStopsPushes) {
   EXPECT_EQ(rollups.rollup_count(), 0u);
 }
 
-TEST_F(SubscriptionFixture, LocalSubscriptionsShareRollupsWithRemote) {
-  std::vector<ClosedWindow> seen;
-  RollupSpec spec;
-  spec.window_ns = kSecond;
-  spec.slide_ns = kSecond;
-  spec.lateness_ns = 500 * kMs;  // matches the service default
-  const std::uint64_t handle = service.subscribe_local(
-      spec, [&seen](const ClosedWindow& w) { seen.push_back(w); });
-  ASSERT_NE(handle, 0u);
-  EXPECT_NE(service.backing_rollup(handle), 0u);
-
-  // A remote subscription with the same canonical shape rides the same
-  // rollup.
-  auto dash = dashboard("dash-1");
-  collect(dash);
+TEST_F(SubscriptionFixture, SharedRollupPushesEveryWindowToEachSubscriber) {
+  // Two dashboards on one backing rollup (the second by the service's
+  // default lateness, the first by spelling it out) both receive every
+  // closed window, each equal to the cold query; the window is counted
+  // once, the pushes once per subscriber.
+  auto a = dashboard("dash-a");
+  auto b = dashboard("dash-b");
+  collect(a);
+  collect(b);
   kernel.run();
   SubscribeRequest req;
-  req.client_id = "dash-1";
+  req.client_id = "dash-a";
   req.subscription_id = 1;
   req.window_ns = kSecond;
-  req.lateness_ns = -1;  // service default, matching the local spec above
-  subscribe(dash, req);
+  req.lateness_ns = 500 * kMs;  // the service default, spelled out
+  subscribe(a, req);
+  req.client_id = "dash-b";
+  req.lateness_ns = -1;  // the service default
+  subscribe(b, req);
   EXPECT_EQ(service.active_rollups(), 1u);
 
   ingest_fleet_and_close();
   service.pump();
   kernel.run();
 
-  ASSERT_FALSE(seen.empty());
-  EXPECT_EQ(seen.size() + 1, dash.inbox.size());  // same windows + the ack
-  EXPECT_EQ(service.stats().local_deliveries, seen.size());
+  ASSERT_GT(a.inbox.size(), 1u);
+  ASSERT_EQ(a.inbox.size(), b.inbox.size());
+  const std::uint64_t windows = a.inbox.size() - 1;  // minus the ack
+  EXPECT_EQ(service.stats().windows_pushed, windows);
+  EXPECT_EQ(service.stats().pushes_sent, 2 * windows);
   const QueryEngine engine{db, QueryEngineOptions{1}};
-  for (const auto& w : seen) {
-    store::expect_window_matches_cold(engine, spec, w, "local sub");
+  for (std::size_t i = 1; i < a.inbox.size(); ++i) {
+    const auto& push_a = std::get<RollupPush>(a.inbox[i]);
+    const auto& push_b = std::get<RollupPush>(b.inbox[i]);
+    EXPECT_TRUE(push_a == push_b);
+    QuerySpec q;
+    q.t0_ns = push_a.t0_ns;
+    q.t1_ns = push_a.t1_ns;
+    EXPECT_TRUE(push_a.merged == to_wire(engine.aggregate(q).merged));
   }
-
-  service.unsubscribe_local(handle);
-  EXPECT_EQ(service.backing_rollup(handle), 0u);
-  EXPECT_EQ(service.active_rollups(), 1u);  // remote still holds it
 }
 
 TEST_F(SubscriptionFixture, FanOutRidesOneWireFrame) {
